@@ -74,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="Fock truncation (default: tail-budget rule)")
     sim.add_argument("--record-every", type=int, default=1)
     sim.add_argument("--out", help="output path (default: stdout)")
-    sim.add_argument("--format", choices=("csv",), default="csv")
 
     half = sub.add_parser("halftime", help="half-thermalization time of a law")
     half.add_argument("--law", required=True, choices=ANALYTIC_LAWS)
@@ -128,12 +127,13 @@ def _cmd_simulate(args) -> int:
     if args.map_kind is not None:
         header["map"] = args.map_kind
 
+    cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end,
+                           record_every=args.record_every)
     lines = []
     if args.law in ANALYTIC_LAWS:
         x0, x_res = (args.t0, args.tr) if temp_mode else (args.n0, args.nr)
         params = CoolingParams(x0=x0, x_res=x_res, gamma=args.gamma)
-        n_steps = int(round(args.t_end / args.dt))
-        ts = np.arange(n_steps + 1) * args.dt
+        ts = np.arange(cfg.n_steps + 1) * args.dt
         values = evaluate_law(LawKind.from_name(args.law), params, ts)
         lines.extend(f"# {k}={_fmt(v)}" for k, v in header.items())
         lines.append("t,value,valid")
@@ -151,8 +151,6 @@ def _cmd_simulate(args) -> int:
             rho0 = number_state(int(round(n0)), dim)
         else:
             rho0 = thermal_state(n0, dim)
-        cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end,
-                               record_every=args.record_every)
         if args.law == "lindblad":
             traj = integrate(rho0, model, cfg)
         else:

@@ -9,8 +9,9 @@ with down(i) = i * g_down(t) and up(i) = (i+1) * g_up(t).  These are the
 unique neighbour rates that make the ladder identical to the diagonal
 restriction of the full dissipator, so :func:`evolve_populations` and
 the density-matrix integrator agree pointwise for diagonal initial
-states.  The upward rate out of the top level is zero (the reflecting
-truncation wall), which conserves total probability exactly.
+states; both run the same banded generator and RK4 loop.  The upward
+rate out of the top level is zero (the reflecting truncation wall),
+which conserves total probability exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .lindblad import IntegrationError, IntegratorConfig, RateModel, Trajectory
+from .lindblad import IntegratorConfig, RateModel, Trajectory, _Band, _evolve
 
 
 @dataclass(frozen=True)
@@ -43,15 +44,6 @@ def ladder_rates(model: RateModel, n_sys: float, t: float, dim: int) -> LadderRa
     return LadderRates(down=down, up=up)
 
 
-def _ladder_rhs(p: np.ndarray, t: float, model: RateModel,
-                levels: np.ndarray) -> np.ndarray:
-    rates = ladder_rates(model, float(levels @ p), t, p.size)
-    dp = -(rates.down + rates.up) * p
-    dp[:-1] += rates.down[1:] * p[1:]
-    dp[1:] += rates.up[:-1] * p[:-1]
-    return dp
-
-
 def evolve_populations(p0: np.ndarray, model: RateModel,
                        cfg: IntegratorConfig) -> Trajectory:
     """Fixed-step RK4 for the population ladder; returns the same
@@ -70,64 +62,4 @@ def evolve_populations(p0: np.ndarray, model: RateModel,
     total = p0.sum()
     if not (1.0 - cfg.leak_tol <= total <= 1.0 + 1e-12):
         raise ValueError(f"populations must sum to 1 within budget, got {total!r}")
-
-    levels = np.arange(p0.size, dtype=float)
-    p = p0.copy()
-    dt = cfg.dt
-    n_steps = int(round(cfg.t_end / dt))
-
-    times, n_bars, pops, traces, purities = [], [], [], [], []
-    neg_rate, in_bound = [], []
-    check_times, min_ps = [], []
-
-    def record(step):
-        t = step * dt
-        n_sys = float(levels @ p)
-        g_down, g_up = model.rates(t, n_sys)
-        times.append(t)
-        n_bars.append(n_sys)
-        pops.append(p.copy())
-        traces.append(float(p.sum()))
-        purities.append(float(p @ p))
-        neg_rate.append(g_down < 0.0 or g_up < 0.0)
-        in_bound.append((n_sys - model.n_res) * model.gamma * t <= model.n_res)
-
-    def checkpoint(step):
-        t = step * dt
-        total = float(p.sum())
-        low = float(p.min())
-        if not np.all(np.isfinite(p)):
-            raise IntegrationError("populations are non-finite (unstable step size?)",
-                                   t, total, float("nan"))
-        check_times.append(t)
-        min_ps.append(low)
-        if not (1.0 - cfg.leak_tol <= total <= 1.0 + 1e-9):
-            raise IntegrationError("probability leak exceeds budget", t, total, low)
-        if not low >= -cfg.pos_tol:
-            raise IntegrationError("negative population", t, total, low)
-
-    record(0)
-    checkpoint(0)
-    for step in range(1, n_steps + 1):
-        t = (step - 1) * dt
-        k1 = _ladder_rhs(p, t, model, levels)
-        k2 = _ladder_rhs(p + 0.5 * dt * k1, t + 0.5 * dt, model, levels)
-        k3 = _ladder_rhs(p + 0.5 * dt * k2, t + 0.5 * dt, model, levels)
-        k4 = _ladder_rhs(p + dt * k3, t + dt, model, levels)
-        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % cfg.record_every == 0 or step == n_steps:
-            record(step)
-        if step % cfg.check_every == 0 or step == n_steps:
-            checkpoint(step)
-
-    return Trajectory(
-        times=np.array(times),
-        n_bar=np.array(n_bars),
-        populations=np.array(pops),
-        trace=np.array(traces),
-        purity=np.array(purities),
-        negative_rate=np.array(neg_rate, dtype=bool),
-        within_rate_bound=np.array(in_bound, dtype=bool),
-        check_times=np.array(check_times),
-        min_eigenvalues=np.array(min_ps),
-    )
+    return _evolve(_Band(p0.size, [0]), p0[None, :], model, cfg)[0]

@@ -135,6 +135,17 @@ def test_simulate_unstable_step_exits_3(capsys):
     assert "integration error" in err
 
 
+@pytest.mark.parametrize("law", ["modified", "ladder", "lindblad"])
+def test_simulate_t_end_off_the_step_grid_exits_2(capsys, law):
+    # t_end = 1 with dt = 0.003 would end at 0.999
+    code, out, err = run_cli(capsys, "simulate", "--law", law, "--n0", "3",
+                             "--nr", "1", "--gamma", "1", "--dt", "0.003",
+                             "--t-end", "1")
+    assert code == 2
+    assert out == ""
+    assert "whole number of steps" in err
+
+
 def test_halftime_values(capsys):
     code, out, _ = run_cli(capsys, "halftime", "--law", "newton", "--gamma", "1")
     assert code == 0

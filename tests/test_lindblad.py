@@ -1,5 +1,9 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from qcooling import (IntegrationError, IntegratorConfig, RateLaw, RateModel,
@@ -60,6 +64,19 @@ def test_thermal_state_truncation_warning():
         thermal_state(20.0, 25)
 
 
+@pytest.mark.parametrize("n_bar,dim", [(8.5, 50), (20.0, 25), (0.5, 3)])
+def test_thermal_state_warning_suggests_a_dim_that_silences_it(n_bar, dim):
+    with pytest.warns(UserWarning, match="untruncated mass") as record:
+        thermal_state(n_bar, dim)
+    suggested = int(re.search(r"consider dim >= (\d+)", str(record[0].message))[1])
+    assert suggested > dim
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        thermal_state(n_bar, suggested)
+    with pytest.warns(UserWarning, match="untruncated mass"):
+        thermal_state(n_bar, suggested - 1)
+
+
 def test_number_state():
     rho = number_state(5, 12)
     assert mean_occupation(rho) == 5.0
@@ -81,6 +98,35 @@ def test_check_density_matrix():
         check_density_matrix(bad)
     with pytest.raises(ValueError):
         check_density_matrix(2.0 * number_state(0, 6))
+
+
+def test_check_density_matrix_positivity_on_both_paths(monkeypatch):
+    # a diagonal matrix takes the exact shortcut, any other calls eigvalsh
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    diagonal = np.diag([1.1, -0.1, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="not positive"):
+        check_density_matrix(diagonal)
+    check_density_matrix(number_state(2, 5))
+    assert calls == []
+    mixed = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)   # eigenvalue -0.1
+    with pytest.raises(ValueError, match="not positive"):
+        check_density_matrix(mixed)
+    check_density_matrix(np.full((2, 2), 0.5, dtype=complex))
+    assert len(calls) == 2
+
+
+def test_t_end_must_be_a_whole_number_of_steps():
+    with pytest.raises(ValueError, match="whole number of steps"):
+        IntegratorConfig(dt=0.003, t_end=1.0)
+    assert IntegratorConfig(dt=0.003, t_end=0.999).n_steps == 333
+    assert IntegratorConfig(dt=0.1, t_end=0.3).n_steps == 3
 
 
 def test_default_dim_rule():
@@ -240,3 +286,70 @@ def test_negative_rate_flagged_not_clamped():
     # closed form for the mean passes through zero again at t = 2
     assert traj.n_bar[-1] == pytest.approx(0.0, abs=1e-5)
     assert traj.min_eigenvalues.min() > -1e-8
+
+
+# --- banded storage: coherences ----------------------------------------------
+
+def _pure_state(amplitudes: dict, dim: int) -> np.ndarray:
+    psi = np.zeros(dim, dtype=complex)
+    for level, amp in amplitudes.items():
+        psi[level] = amp
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def test_coherent_amplitude_decays_at_half_rate():
+    # d<a>/dt = -(g_down - g_up)/2 <a> = -(gamma/2) <a> under constant rates;
+    # dim 60 keeps the truncation wall out of reach (at dim 24 it shows, 5e-6)
+    dim = 60
+    rho0 = _pure_state({3: 1.0, 4: 1.0, 5: 1.0j}, dim)
+    low = lowering_operator(dim)
+    mean_a = lambda rho: np.trace(low @ rho)
+    cfg = IntegratorConfig(dt=0.001, t_end=0.4, record_every=100)
+    traj = integrate(rho0, CONSTANT, cfg)
+    expect = mean_a(rho0) * np.exp(-0.5 * GAMMA * cfg.t_end)
+    assert abs(mean_a(rho0)) > 0.5
+    assert abs(mean_a(traj.final_state) - expect) < 1e-12
+    assert traj.min_eigenvalues.min() > -1e-8
+
+
+def _explicit_rk4(rho, model, dt, steps):
+    """RK4 on the master equation written with explicit a, a+ products."""
+    low = lowering_operator(rho.shape[0])
+    raise_ = low.conj().T
+    number, anti = raise_ @ low, low @ raise_
+
+    def rhs(r, t):
+        g_down, g_up = model.rates(t, mean_occupation(r))
+        return (g_down * (low @ r @ raise_ - 0.5 * (number @ r + r @ number))
+                + g_up * (raise_ @ r @ low - 0.5 * (anti @ r + r @ anti)))
+
+    for step in range(steps):
+        t = step * dt
+        k1 = rhs(rho, t)
+        k2 = rhs(rho + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(rho + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(rho + dt * k3, t + dt)
+        rho = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return rho
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(4, 24), seed=st.integers(0, 2**32 - 1),
+       support_size=st.integers(1, 4), law=st.sampled_from(list(RateLaw)),
+       n_res=st.floats(0.5, 2.0), courant=st.floats(0.01, 0.2),
+       steps=st.integers(1, 5))
+def test_banded_integrate_matches_explicit_products(dim, seed, support_size, law,
+                                                    n_res, courant, steps):
+    # any set of stored diagonals evolves as the full matrix would
+    rng = np.random.default_rng(seed)
+    levels = rng.choice(dim, size=min(support_size, dim), replace=False)
+    amps = rng.normal(size=levels.size) + 1j * rng.normal(size=levels.size)
+    rho0 = _pure_state(dict(zip(levels.tolist(), amps)), dim)
+    model = RateModel(law=law, gamma=GAMMA, n_res=n_res)
+    dt = courant / (2 * dim * GAMMA * (1 + 2 * n_res))
+    traj = integrate(rho0, model, IntegratorConfig(dt=dt, t_end=steps * dt))
+    expect = _explicit_rk4(rho0, model, dt, steps)
+    assert np.abs(traj.final_state - expect).max() < 1e-12
+    assert traj.purity[-1] == pytest.approx(np.vdot(expect, expect).real, abs=1e-12)
+    assert np.abs(traj.populations[-1] - expect.diagonal().real).max() < 1e-12
