@@ -19,7 +19,8 @@ from .core import PhysicalScales, high_temp_occupation, occupation_from_temperat
 from .ladder import evolve_populations
 from .laws import CoolingParams, LawKind, evaluate_law, half_thermalization_time, time_to_value
 from .lindblad import (IntegrationError, IntegratorConfig, RateLaw, RateModel,
-                       default_dim, integrate, number_state, thermal_state)
+                       _thermal_dim, default_dim, integrate, number_state,
+                       thermal_state)
 
 ANALYTIC_LAWS = ("newton", "markov", "modified")
 INTEGRATOR_LAWS = ("lindblad", "ladder")
@@ -144,13 +145,16 @@ def _cmd_simulate(args) -> int:
         n0, n_res = _occupation_inputs(args)
         model = RateModel(law=RateLaw.from_name(args.model),
                           gamma=args.gamma, n_res=n_res)
-        dim = args.dim if args.dim is not None else default_dim(max(n0, n_res))
+        fock = abs(n0 - round(n0)) < 1e-9
+        dim = args.dim
+        if dim is None:
+            # a thermal start's own geometric tail outweighs the Poisson rule
+            dim = default_dim(max(n0, n_res))
+            if not fock:
+                dim = max(dim, _thermal_dim(n0, 1e-9))
         header.update(model=args.model, dim=dim, record_every=args.record_every)
         lines.extend(f"# {k}={_fmt(v)}" for k, v in header.items())
-        if abs(n0 - round(n0)) < 1e-9:
-            rho0 = number_state(int(round(n0)), dim)
-        else:
-            rho0 = thermal_state(n0, dim)
+        rho0 = number_state(int(round(n0)), dim) if fock else thermal_state(n0, dim)
         if args.law == "lindblad":
             traj = integrate(rho0, model, cfg)
         else:

@@ -28,11 +28,17 @@ All operators are truncated consistently to the lowest ``dim`` Fock
 levels (a+ annihilates the top level), which keeps the generator exactly
 trace preserving; the price is a reflecting wall at the top whose effect
 on n_sys(t) is set by the population reaching the highest level.
-:func:`default_dim` sizes the truncation so that thermal/Poissonian
-tails stay below ~1e-9 in mass.
+:func:`default_dim` sizes the truncation by a Poisson-tail rule; a
+thermal state's geometric tail needs more levels (``_thermal_dim``).
 
 Only the diagonals of rho present at t = 0 are stored and stepped
-(:class:`_Band`), at O(#diagonals * dim) per step.
+(:class:`_Band`), at O(#diagonals * dim) per step.  Under CONSTANT and
+SCALED the generator is f(t) A for a fixed A, so one RK4 step is a
+degree-4 polynomial in dt A; it is applied as one 9-diagonal banded
+operator per stored diagonal, whose five power bands are built once per
+call.  FEEDBACK's stage rates read the stage state, so it keeps the four
+staged right-hand-side evaluations.  Both are the same RK4 map up to
+rounding.
 
 Stability: fixed-step RK4 on this generator went negative at
 dt * 2 * dim * (g_down + g_up) = 3.0 and stayed positive at 2.5 (dim 200,
@@ -66,6 +72,14 @@ class RateLaw(Enum):
                              f"{[k.value for k in cls]}") from None
 
 
+def _rate_scale(model: RateModel, t):
+    """f(t) with model.rates(t, n) = f(t) * model.rates(0, n) (t may be an
+    array), or None for FEEDBACK, whose rates read the state."""
+    if model.law is RateLaw.FEEDBACK:
+        return None
+    return 1.0 + model.gamma * t if model.law is RateLaw.SCALED else 1.0
+
+
 @dataclass(frozen=True)
 class RateModel:
     """Dissipator rate law with its parameters gamma and n_res."""
@@ -83,10 +97,8 @@ class RateModel:
     def rates(self, t: float, n_sys: float) -> tuple[float, float]:
         """(g_down, g_up) at time t for instantaneous mean occupation n_sys."""
         g, n_res = self.gamma, self.n_res
-        if self.law is RateLaw.CONSTANT:
-            return g * (1.0 + n_res), g * n_res
-        if self.law is RateLaw.SCALED:
-            f = 1.0 + g * t
+        f = _rate_scale(self, t)
+        if f is not None:
             return f * g * (1.0 + n_res), f * g * n_res
         corr = g * g * (n_sys - n_res) * t
         return g * (1.0 + n_res) + corr, g * n_res + corr
@@ -170,7 +182,8 @@ def lowering_operator(dim: int) -> np.ndarray:
 
 
 def default_dim(n_max: float) -> int:
-    """Truncation size keeping geometric/Poissonian tails below ~1e-9.
+    """Truncation size keeping Poissonian tails below ~1e-9 (a geometric
+    tail at the same mean is heavier; see ``_thermal_dim``).
 
     n_max should be the largest mean occupation the run will see,
     typically max(n_sys(0), n_res).
@@ -178,6 +191,12 @@ def default_dim(n_max: float) -> int:
     if not (math.isfinite(n_max) and n_max >= 0):
         raise ValueError(f"n_max must be >= 0 and finite, got {n_max}")
     return math.ceil(n_max + 12.0 * math.sqrt(n_max + 1.0)) + 4
+
+
+def _thermal_dim(n_bar: float, eps: float) -> int:
+    """Smallest dim whose thermal tail mass (n_bar/(1+n_bar))**dim is < eps."""
+    x = n_bar / (1.0 + n_bar)
+    return 1 if x == 0 else math.floor(math.log(eps) / math.log(x)) + 1
 
 
 def thermal_state(n_bar: float, dim: int) -> np.ndarray:
@@ -191,9 +210,8 @@ def thermal_state(n_bar: float, dim: int) -> np.ndarray:
     if not (math.isfinite(n_bar) and n_bar >= 0):
         raise ValueError(f"n_bar must be >= 0 and finite, got {n_bar}")
     x = n_bar / (1.0 + n_bar)
-    if x > 0 and x ** dim > 1e-3:
-        # smallest dim with x**dim < 1e-3
-        enough = math.floor(math.log(1e-3) / math.log(x)) + 1
+    enough = _thermal_dim(n_bar, 1e-3)
+    if dim < enough:
         warnings.warn(
             f"thermal_state(n_bar={n_bar}, dim={dim}) keeps only "
             f"{(1 - x**dim) * 100:.2f}% of the untruncated mass; "
@@ -221,24 +239,29 @@ def mean_occupation(rho: np.ndarray) -> float:
 
 
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
-                         leak_tol: float = 1e-6, pos_tol: float = 1e-8) -> None:
+                         leak_tol: float = 1e-6, pos_tol: float = 1e-8):
     """Raise ValueError unless rho is Hermitian, near-unit-trace, and PSD
-    within the given tolerances (a diagonal rho skips ``eigvalsh``)."""
+    within the given tolerances (a diagonal rho skips ``eigvalsh``).
+
+    Returns the (rows, cols) of rho's nonzero entries.  Hermiticity is
+    checked over them only: a zero entry with a zero mirror adds nothing.
+    """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    herm = np.abs(rho - rho.conj().T).max()
+    rows, cols = np.nonzero(rho != 0)
+    herm = np.abs(rho[rows, cols] - rho[cols, rows].conj()).max(initial=0.0)
     if not herm <= herm_tol:
         raise ValueError(f"not Hermitian: max asymmetry {herm:g} > {herm_tol:g}")
     tr = float(np.real(np.trace(rho)))
     if not (1.0 - leak_tol <= tr <= 1.0 + 1e-9):
         raise ValueError(f"trace {tr!r} outside [1-{leak_tol:g}, 1+1e-9]")
-    diag = rho.diagonal()
-    if np.count_nonzero(rho) == np.count_nonzero(diag):
-        min_eig = float(diag.real.min())
+    if np.array_equal(rows, cols):
+        min_eig = float(rho.diagonal().real.min())
     else:
         min_eig = float(np.linalg.eigvalsh(rho).min())
     if not min_eig >= -pos_tol:
         raise ValueError(f"not positive: min eigenvalue {min_eig:g} < -{pos_tol:g}")
+    return rows, cols
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +304,8 @@ class _Band:
 
     def rhs(self, x: np.ndarray, g_down: float, g_up: float) -> np.ndarray:
         out = x * (-g_down * self.anti_down - g_up * self.anti_up)
-        out[:, :-1] += g_down * self.jump * x[:, 1:]
-        out[:, 1:] += g_up * self.jump * x[:, :-1]
+        out[..., :-1] += g_down * self.jump * x[..., 1:]
+        out[..., 1:] += g_up * self.jump * x[..., :-1]
         return out
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
@@ -317,20 +340,90 @@ def lindblad_rhs(rho: np.ndarray, t: float, model: RateModel) -> np.ndarray:
     return herm + 1j * skew
 
 
-def _evolve(band: _Band, x0: np.ndarray, model: RateModel,
-            cfg: IntegratorConfig) -> tuple[Trajectory, np.ndarray]:
-    """Fixed-step RK4 on the stored diagonals ``x0``, shared by
-    :func:`integrate` and the population ladder; returns the trajectory
-    and the final diagonals.  Purity counts each k > 0 diagonal twice,
-    for its k < 0 mirror.  A checkpoint's minimum eigenvalue is the
-    minimum population for a diagonal state, else ``eigvalsh``'s.
-    """
-    x = x0
-    levels, dt, n_steps = band.levels, cfg.dt, cfg.n_steps
+def _staged_step(band: _Band, model: RateModel, dt: float):
+    """RK4 step ``x, n -> x(n dt)`` that evaluates the rates at every stage."""
+    levels = band.levels
 
     def rhs(x, t):
         g_down, g_up = model.rates(t, float(levels @ x[0].real))
         return band.rhs(x, g_down, g_up)
+
+    def step(x, n):
+        t = (n - 1) * dt
+        k1 = rhs(x, t)
+        k2 = rhs(x + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(x + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(x + dt * k3, t + dt)
+        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return step
+
+
+def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
+                     dt: float, n_steps: int):
+    """RK4 step ``x, n -> x(n dt)`` for a generator f(t) A, starting from x0.
+
+    The four stages compose to x <- sum_j c_j (dt A)^j x, with f1, f2, f3
+    the scale at t, t + dt/2 and t + dt:
+    c = (1, (f1 + 4 f2 + f3)/6, f2 (f1 + f2 + f3)/6, f2^2 (f1 + f3)/12,
+    f1 f2^2 f3/24).  Each (dt A)^j of a tridiagonal chain has at most nine
+    diagonals; B[j, b, i, d] = (dt A)^j[i, i + d - 4] on stored diagonal b
+    is read off by applying dt A to nine combs (ones at i = c mod 9), and a
+    step is one 9-wide banded product on a zero-padded copy of the state
+    (the step keeps that copy, so its ``x`` argument is not read).
+    """
+    nb, dim = x0.shape
+    g_down, g_up = model.rates(0.0, 0.0)
+    rows = np.arange(dim)
+    power = np.broadcast_to(rows % 9 == np.arange(9)[:, None, None], (9, nb, dim))
+    cols = (rows[:, None] + np.arange(9) - 4) % 9
+    B = np.empty((5, nb, dim, 9))
+    for j in range(5):
+        B[j] = power.transpose(1, 0, 2)[:, cols, rows[:, None]]
+        power = band.rhs(power, dt * g_down, dt * g_up)
+    t = np.arange(n_steps) * dt
+    f1, f2, f3 = (_rate_scale(model, s) for s in (t, t + 0.5 * dt, t + dt))
+    coeffs = np.array([np.ones_like(f1), (f1 + 4.0 * f2 + f3) / 6.0,
+                       f2 * (f1 + f2 + f3) / 6.0, f2 * f2 * (f1 + f3) / 12.0,
+                       f1 * f2 * f2 * f3 / 24.0]).T
+    B = B.reshape(5, -1)
+    op = coeffs @ B if coeffs.ndim == 1 else np.empty(B.shape[1])
+
+    # two padded buffers alternate; complex entries are (re, im) pairs
+    pad = np.zeros((2, nb, dim + 8), dtype=x0.dtype)
+    pad[0, :, 4:-4] = x0
+    states = pad[:, :, 4:-4]
+    parts = pad.view(float).reshape(2, nb, dim + 8, -1)
+    windows = np.lib.stride_tricks.sliding_window_view(parts, 9, axis=2)
+    outs = parts[:, :, 4:-4]
+    banded = op.reshape(nb, dim, 9)
+
+    def step(x, n):
+        if coeffs.ndim > 1:
+            np.dot(coeffs[n - 1], B, out=op)
+        np.einsum("bid,biwd->biw", banded, windows[(n - 1) % 2], out=outs[n % 2])
+        return states[n % 2]
+
+    return step
+
+
+def _evolve(band: _Band, x0: np.ndarray, model: RateModel,
+            cfg: IntegratorConfig) -> tuple[Trajectory, np.ndarray]:
+    """Fixed-step RK4 on the stored diagonals ``x0``, shared by
+    :func:`integrate` and the population ladder; returns the trajectory
+    and the final diagonals.  A linear law (rates f(t) times those at
+    t = 0) steps by one banded operator (:func:`_polynomial_step`);
+    FEEDBACK, whose stage rates read the stage state, by staged stages.
+    Purity counts each k > 0 diagonal twice, for its k < 0 mirror.  A
+    checkpoint's minimum eigenvalue is the minimum population for a
+    diagonal state, else ``eigvalsh``'s.
+    """
+    x = x0
+    levels, dt, n_steps = band.levels, cfg.dt, cfg.n_steps
+    if _rate_scale(model, 0.0) is None:
+        advance = _staged_step(band, model, dt)
+    else:
+        advance = _polynomial_step(band, x0, model, dt, n_steps)
 
     times, n_bars, pops, traces, purities = [], [], [], [], []
     neg_rate, in_bound = [], []
@@ -369,12 +462,7 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel,
     record(0)
     checkpoint(0)
     for step in range(1, n_steps + 1):
-        t = (step - 1) * dt
-        k1 = rhs(x, t)
-        k2 = rhs(x + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(x + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(x + dt * k3, t + dt)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = advance(x, step)
         if step % cfg.record_every == 0 or step == n_steps:
             record(step)
         if step % cfg.check_every == 0 or step == n_steps:
@@ -404,8 +492,8 @@ def integrate(rho0: np.ndarray, model: RateModel, cfg: IntegratorConfig) -> Traj
     :class:`IntegrationError` with the offending time and diagnostics.
     Observables are recorded every ``cfg.record_every`` steps.
     """
-    check_density_matrix(rho0, leak_tol=cfg.leak_tol, pos_tol=cfg.pos_tol)
-    rows, cols = np.nonzero(rho0)
+    rows, cols = check_density_matrix(rho0, leak_tol=cfg.leak_tol,
+                                      pos_tol=cfg.pos_tol)
     # row 0 is k = 0 (np.unique would import numpy.ma, 15 ms, on first use)
     present = np.bincount(np.concatenate(([0], np.abs(rows - cols))))
     band = _Band(rho0.shape[0], np.flatnonzero(present))

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,20 @@ def test_simulate_ladder_agrees_with_lindblad(capsys):
     _, _, rows_a = parse_csv(out_a)
     _, _, rows_b = parse_csv(out_b)
     assert np.abs(rows_a[:, 1] - rows_b[:, 1]).max() < 1e-8
+
+
+@pytest.mark.parametrize("law", ["lindblad", "ladder"])
+def test_simulate_thermal_start_is_sized_by_its_own_tail(capsys, law):
+    # the Poisson default_dim rule gives dim 50 here, which starts at 8.307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "simulate", "--law", law, "--n0", "8.5",
+                               "--nr", "2", "--model", "constant", "--gamma", "1",
+                               "--dt", "0.001", "--t-end", "0.01")
+    assert code == 0
+    header, _, rows = parse_csv(out)
+    assert header["dim"] == "187"
+    assert rows[0, 1] == pytest.approx(8.5, abs=1e-6)
 
 
 def test_simulate_temperature_mode_requires_map(capsys):
