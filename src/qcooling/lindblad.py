@@ -54,6 +54,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -143,8 +144,10 @@ class Trajectory:
     marks samples satisfying (n_sys - n_res) * gamma * t <= n_res, the
     regime in which the feedback correction stays a small perturbation.
     Minimum eigenvalues are sampled at checkpoint times only.
-    ``final_state`` is the density matrix at the last time (set by
-    :func:`integrate`; None for the population ladder).
+    ``final_state`` is the density matrix at the last time, built from
+    the stepped diagonals on first read (set by :func:`integrate`; None
+    for the population ladder), so a run that never reads it builds no
+    dense copy of its last state.
     """
 
     times: np.ndarray
@@ -156,7 +159,14 @@ class Trajectory:
     within_rate_bound: np.ndarray
     check_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     min_eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0))
-    final_state: np.ndarray | None = None
+    _final: tuple[_Band, np.ndarray] | None = field(default=None, repr=False)
+
+    @cached_property
+    def final_state(self) -> np.ndarray | None:
+        if self._final is None:
+            return None
+        band, x = self._final
+        return band.dense(x)
 
 
 class IntegrationError(RuntimeError):
@@ -219,7 +229,7 @@ def thermal_state(n_bar: float, dim: int) -> np.ndarray:
             stacklevel=2)
     p = x ** np.arange(dim)
     p /= p.sum()
-    return np.diag(p).astype(complex)
+    return np.diag(p.astype(complex))
 
 
 def number_state(level: int, dim: int) -> np.ndarray:
@@ -498,5 +508,5 @@ def integrate(rho0: np.ndarray, model: RateModel, cfg: IntegratorConfig) -> Traj
     present = np.bincount(np.concatenate(([0], np.abs(rows - cols))))
     band = _Band(rho0.shape[0], np.flatnonzero(present))
     traj, x = _evolve(band, band.pack(rho0), model, cfg)
-    traj.final_state = band.dense(x)
+    traj._final = band, x
     return traj
