@@ -48,7 +48,6 @@ from enum import Enum
 import numpy as np
 
 from .core import PhysicalScales
-from .lindblad import lowering_operator
 
 
 class LadderOp(Enum):
@@ -83,24 +82,39 @@ def wick_four_point(ops: tuple[LadderOp, LadderOp, LadderOp, LadderOp],
 
 def brute_force_four_point(ops: tuple[LadderOp, LadderOp, LadderOp, LadderOp],
                            n_bar: float, dim: int) -> complex:
-    """Independent oracle: Tr[O_a O_b O_c O_d rho_thermal] by explicit
-    matrix products in a truncated Fock basis.
+    """Independent oracle: Tr[O_a O_b O_c O_d rho_thermal] in a truncated
+    Fock basis, in O(dim).
+
+    The truncated a (a+) has the single diagonal a[j, j+1] = sqrt(j+1)
+    (a+[j, j-1] = sqrt(j)), so row i of the product has one entry, in
+    column col[i]: each factor moves col by +-1 and scales the entry by
+    sqrt(max(old, new)), and a column leaving [0, dim) zeroes it.  This is
+    the dense product's trace, not Wick's theorem: it sums no pairings and
+    keeps the truncation.
 
     Requires the thermal tail beyond the truncation to be < 1e-10 in mass.
     """
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    if not (math.isfinite(n_bar) and n_bar >= 0):
+        raise ValueError(f"n_bar must be >= 0 and finite, got {n_bar}")
     x = n_bar / (1.0 + n_bar)
     if x > 0 and x ** dim > 1e-10:
         raise ValueError(
             f"dim={dim} keeps tail mass {x**dim:.2e} > 1e-10 for n_bar={n_bar}; "
             "increase dim")
-    low = lowering_operator(dim)
-    raise_ = low.conj().T
-    p = x ** np.arange(dim)
+    rows = np.arange(dim)
+    p = x ** rows
     p /= p.sum()
-    prod = np.eye(dim, dtype=complex)
+    col, amp = rows, np.ones(dim)
     for op in ops:
-        prod = prod @ (low if op is LadderOp.LOWER else raise_)
-    return complex(np.sum(prod.diagonal() * p))
+        new = col + (1 if op is LadderOp.LOWER else -1)
+        # new >= 0 where inside, so the square root never sees a negative
+        inside = (new >= 0) & (new < dim)
+        amp = amp * np.sqrt(np.maximum(col, new) * inside)
+        col = new
+    diag = col == rows
+    return complex(p[diag] @ amp[diag])
 
 
 def feedback_bracket(n_r: float, n_s: float, q12: complex, q21: complex) -> complex:

@@ -35,10 +35,10 @@ Only the diagonals of rho present at t = 0 are stored and stepped
 (:class:`_Band`), at O(#diagonals * dim) per step.  Under CONSTANT and
 SCALED the generator is f(t) A for a fixed A, so one RK4 step is a
 degree-4 polynomial in dt A; it is applied as one 9-diagonal banded
-operator per stored diagonal, whose five power bands are built once per
-call.  FEEDBACK's stage rates read the stage state, so it keeps the four
-staged right-hand-side evaluations.  Both are the same RK4 map up to
-rounding.
+operator per stored diagonal, built once per call (SCALED keeps the five
+power bands, CONSTANT only their sum).  FEEDBACK's stage rates read the
+stage state, so it keeps the four staged right-hand-side evaluations.
+Both are the same RK4 map up to rounding.
 
 Stability: fixed-step RK4 on this generator went negative at
 dt * 2 * dim * (g_down + g_up) = 3.0 and stayed positive at 2.5 (dim 200,
@@ -350,6 +350,12 @@ def lindblad_rhs(rho: np.ndarray, t: float, model: RateModel) -> np.ndarray:
     return herm + 1j * skew
 
 
+# rows of the powers (dt A)^j that _polynomial_step builds at once: a Fock
+# or few-level state is one block, while a fully coherent one needs
+# 45 * _BUILD_ROWS floats of temporaries, not five copies of its operator
+_BUILD_ROWS = 2048
+
+
 def _staged_step(band: _Band, model: RateModel, dt: float):
     """RK4 step ``x, n -> x(n dt)`` that evaluates the rates at every stage."""
     levels = band.levels
@@ -377,27 +383,41 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     the scale at t, t + dt/2 and t + dt:
     c = (1, (f1 + 4 f2 + f3)/6, f2 (f1 + f2 + f3)/6, f2^2 (f1 + f3)/12,
     f1 f2^2 f3/24).  Each (dt A)^j of a tridiagonal chain has at most nine
-    diagonals; B[j, b, i, d] = (dt A)^j[i, i + d - 4] on stored diagonal b
-    is read off by applying dt A to nine combs (ones at i = c mod 9), and a
-    step is one 9-wide banded product on a zero-padded copy of the state
-    (the step keeps that copy, so its ``x`` argument is not read).
+    diagonals, P[j, i, d] = (dt A)^j[i, i + d - 4]; P[j] is dt A P[j - 1]
+    as a banded product, built for a block of stored diagonals at a time
+    (``_BUILD_ROWS``), so the temporaries do not grow with their number.
+    CONSTANT keeps only sum_j c_j P[j]; SCALED, whose c_j change every
+    step, keeps the five powers and sums them each step.  A step is one
+    9-wide banded product on a zero-padded copy of the state (the step
+    keeps that copy, so its ``x`` argument is not read).
     """
     nb, dim = x0.shape
-    g_down, g_up = model.rates(0.0, 0.0)
-    rows = np.arange(dim)
-    power = np.broadcast_to(rows % 9 == np.arange(9)[:, None, None], (9, nb, dim))
-    cols = (rows[:, None] + np.arange(9) - 4) % 9
-    B = np.empty((5, nb, dim, 9))
-    for j in range(5):
-        B[j] = power.transpose(1, 0, 2)[:, cols, rows[:, None]]
-        power = band.rhs(power, dt * g_down, dt * g_up)
+    g_down, g_up = (dt * g for g in model.rates(0.0, 0.0))
     t = np.arange(n_steps) * dt
     f1, f2, f3 = (_rate_scale(model, s) for s in (t, t + 0.5 * dt, t + dt))
     coeffs = np.array([np.ones_like(f1), (f1 + 4.0 * f2 + f3) / 6.0,
                        f2 * (f1 + f2 + f3) / 6.0, f2 * f2 * (f1 + f3) / 12.0,
                        f1 * f2 * f2 * f3 / 24.0]).T
-    B = B.reshape(5, -1)
-    op = coeffs @ B if coeffs.ndim == 1 else np.empty(B.shape[1])
+    op = np.empty((nb, dim * 9))
+    B = None if coeffs.ndim == 1 else np.empty((5, nb, dim * 9))
+    # (dt A)[i, i], [i, i + 1] and [i, i - 1] of every chain, as in _Band.rhs
+    diag = (-g_down * band.anti_down - g_up * band.anti_up)[..., None]
+    up, down = (g_down * band.jump)[..., None], (g_up * band.jump)[..., None]
+    block = max(1, _BUILD_ROWS // dim)
+    for lo in range(0, nb, block):
+        chains = slice(lo, lo + block)
+        P = np.zeros((5, *diag[chains].shape[:2], 9))
+        P[0, ..., 4] = 1.0
+        for j in range(1, 5):
+            np.multiply(P[j - 1], diag[chains], out=P[j])
+            P[j, :, :-1, 1:] += up[chains] * P[j - 1, :, 1:, :-1]
+            P[j, :, 1:, :-1] += down[chains] * P[j - 1, :, :-1, 1:]
+        if B is None:
+            np.dot(coeffs, P.reshape(5, -1), out=op[chains].reshape(-1))
+        else:
+            B[:, chains] = P.reshape(5, -1, dim * 9)
+    if B is not None:
+        B, op = B.reshape(5, -1), op.reshape(-1)
 
     # two padded buffers alternate; complex entries are (re, im) pairs
     pad = np.zeros((2, nb, dim + 8), dtype=x0.dtype)
@@ -409,7 +429,7 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     banded = op.reshape(nb, dim, 9)
 
     def step(x, n):
-        if coeffs.ndim > 1:
+        if B is not None:
             np.dot(coeffs[n - 1], B, out=op)
         np.einsum("bid,biwd->biw", banded, windows[(n - 1) % 2], out=outs[n % 2])
         return states[n % 2]

@@ -1,11 +1,15 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcooling import (LadderOp, ModeGrid, PhysicalScales, bath_occupations,
                       brute_force_four_point, decay_constant,
                       evolved_spectral_density, feedback_bracket,
-                      occupation_from_temperature, thermal_two_point,
-                      wick_four_point)
+                      lowering_operator, occupation_from_temperature,
+                      thermal_two_point, wick_four_point)
 
 L, R = LadderOp.LOWER, LadderOp.RAISE
 
@@ -67,6 +71,33 @@ def test_unbalanced_orderings_vanish():
 def test_brute_force_truncation_guard():
     with pytest.raises(ValueError):
         brute_force_four_point((R, L, R, L), 3.0, 20)
+
+
+@pytest.mark.parametrize("n_bar", [math.nan, math.inf, -0.25])
+def test_brute_force_rejects_invalid_occupation(n_bar):
+    with pytest.raises(ValueError, match="n_bar must be >= 0 and finite"):
+        brute_force_four_point((R, L, R, L), n_bar, 40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.sampled_from(list(product((L, R), repeat=4))),
+       dim=st.integers(2, 40), scale=st.floats(0.0, 0.99))
+def test_brute_force_matches_dense_matrix_products(ops, dim, scale):
+    # x = n_bar / (1 + n_bar) at most 0.99 of the largest x whose tail x**dim
+    # passes the guard, 1e-10 ** (1 / dim)
+    x_max = 1e-10 ** (1.0 / dim)
+    n_bar = scale * x_max / (1.0 - scale * x_max)
+    x = n_bar / (1.0 + n_bar)
+    low = lowering_operator(dim)
+    p = x ** np.arange(dim)
+    p /= p.sum()
+    factors = [low if op is L else low.conj().T for op in ops]
+    expect = np.trace(np.linalg.multi_dot([*factors, np.diag(p)]))
+    got = brute_force_four_point(ops, n_bar, dim)
+    if ops.count(L) == 2:
+        assert abs(got - expect) <= 1e-13 * abs(expect)
+    else:
+        assert got == 0
 
 
 # --- occupation bracket -----------------------------------------------------

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -392,3 +393,35 @@ def test_banded_integrate_matches_explicit_products(dim, seed, support_size, law
     assert np.abs(traj.final_state - expect).max() < 1e-12
     assert traj.purity[-1] == pytest.approx(np.vdot(expect, expect).real, abs=1e-12)
     assert np.abs(traj.populations[-1] - expect.diagonal().real).max() < 1e-12
+
+
+def _fully_coherent(dim, seed):
+    # every level occupied, so every diagonal of rho is stored and stepped
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return _pure_state(dict(enumerate(amps)), dim)
+
+
+@pytest.mark.parametrize("model", [CONSTANT, SCALED], ids=["constant", "scaled"])
+def test_many_diagonals_match_explicit_products(model):
+    # 150 diagonals of 150 rows: the step operator is built in several blocks
+    dim, dt, steps = 150, 1e-4, 3
+    rho0 = _fully_coherent(dim, 3)
+    traj = integrate(rho0, model, IntegratorConfig(dt=dt, t_end=steps * dt))
+    assert np.abs(traj.final_state - _explicit_rk4(rho0, model, dt, steps)).max() < 1e-12
+
+
+def test_constant_step_peak_memory_stays_near_one_operator():
+    # the CONSTANT step operator holds 9 float64 per stored element; building
+    # it must not hold its five powers or their full-size temporaries too
+    dim, dt = 150, 1e-5
+    rho0 = _fully_coherent(dim, 4)
+    cfg = IntegratorConfig(dt=dt, t_end=dt)
+    integrate(rho0, CONSTANT, cfg)
+    tracemalloc.start()
+    try:
+        integrate(rho0, CONSTANT, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * dim * dim * 9 * 8
