@@ -10,7 +10,7 @@ from .lindblad import (IntegrationError, IntegratorConfig, RateLaw, RateModel,
                        Trajectory, check_density_matrix, default_dim,
                        integrate, lindblad_rhs, lowering_operator,
                        mean_occupation, number_state, thermal_state)
-from .ladder import LadderRates, evolve_populations, ladder_rates
+from .ladder import evolve_populations
 from .correlators import (LadderOp, ModeGrid, SpectralDensityResult,
                           bath_occupations, brute_force_four_point,
                           decay_constant, evolved_spectral_density,
@@ -28,7 +28,7 @@ __all__ = [
     "IntegrationError", "thermal_state", "number_state", "mean_occupation",
     "lindblad_rhs", "integrate", "default_dim", "check_density_matrix",
     "lowering_operator",
-    "LadderRates", "ladder_rates", "evolve_populations",
+    "evolve_populations",
     "LadderOp", "thermal_two_point", "wick_four_point",
     "brute_force_four_point", "feedback_bracket", "ModeGrid",
     "SpectralDensityResult", "evolved_spectral_density", "decay_constant",

@@ -17,31 +17,8 @@ which conserves total probability exactly.
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass
 
 from .lindblad import IntegratorConfig, RateModel, Trajectory, _Band, _evolve
-
-
-@dataclass(frozen=True)
-class LadderRates:
-    """Per-level transition rates: down[i] is i -> i-1, up[i] is i -> i+1."""
-
-    down: np.ndarray
-    up: np.ndarray
-
-
-def ladder_rates(model: RateModel, n_sys: float, t: float, dim: int) -> LadderRates:
-    """Neighbour-transition rates at time t for mean occupation n_sys."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    g_down, g_up = model.rates(t, n_sys)
-    levels = np.arange(dim, dtype=float)
-    down = levels * g_down
-    up = (levels + 1.0) * g_up
-    up[-1] = 0.0
-    return LadderRates(down=down, up=up)
 
 
 def evolve_populations(p0: np.ndarray, model: RateModel,

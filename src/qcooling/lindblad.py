@@ -32,20 +32,15 @@ on n_sys(t) is set by the population reaching the highest level.
 thermal state's geometric tail needs more levels (``_thermal_dim``).
 
 Only the diagonals of rho present at t = 0 are stored and stepped
-(:class:`_Band`), at O(#diagonals * dim) per step.  Under CONSTANT and
-SCALED the generator is f(t) A for a fixed A, so one RK4 step is a
-degree-4 polynomial in dt A; it is applied as one 9-diagonal banded
-operator per stored diagonal, built once per call (SCALED keeps the five
-power bands, CONSTANT only their sum).  FEEDBACK's stage rates read the
-stage state, so it keeps the four staged right-hand-side evaluations.
-Both are the same RK4 map up to rounding.
-
-Stability: fixed-step RK4 on this generator went negative at
-dt * 2 * dim * (g_down + g_up) = 3.0 and stayed positive at 2.5 (dim 200,
-n_res 2, g 1, Fock 8 cooling to t 3).  The rate scale grows like
-(1 + g t) for the SCALED law, so long horizons at large dim need a
-smaller dt; violations blow up quickly and are caught by the trace /
-positivity checkpoints, which raise :class:`IntegrationError`.
+(:class:`_Band`), at O(#diagonals * dim) per step; the generator is
+g_down D + g_up U for two fixed three-tap bands D and U.  Under CONSTANT
+and SCALED the rates are f(t) times fixed ones, so one RK4 step is a
+degree-4 polynomial in dt A, applied as one 9-diagonal banded operator
+built once per call.  Each of FEEDBACK's four stages reads its rates off
+the stage state, builds its taps from D and U with one dot and applies
+them with one banded product.  Both are the same RK4 map up to rounding.
+The README gives the step's measured stability limit; a step beyond it
+blows up, and the trace and positivity checkpoints raise IntegrationError.
 """
 
 from __future__ import annotations
@@ -144,10 +139,9 @@ class Trajectory:
     marks samples satisfying (n_sys - n_res) * gamma * t <= n_res, the
     regime in which the feedback correction stays a small perturbation.
     Minimum eigenvalues are sampled at checkpoint times only.
-    ``final_state`` is the density matrix at the last time, built from
-    the stepped diagonals on first read (set by :func:`integrate`; None
-    for the population ladder), so a run that never reads it builds no
-    dense copy of its last state.
+    ``final_state`` is the density matrix at the last time (None for the
+    population ladder), built from the stepped diagonals on first read, so
+    a run that never reads it builds no dense copy of its last state.
     """
 
     times: np.ndarray
@@ -253,8 +247,9 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
     """Raise ValueError unless rho is Hermitian, near-unit-trace, and PSD
     within the given tolerances (a diagonal rho skips ``eigvalsh``).
 
-    Returns the (rows, cols) of rho's nonzero entries.  Hermiticity is
-    checked over them only: a zero entry with a zero mirror adds nothing.
+    Returns the (rows, cols) of rho's nonzero entries and its minimum
+    eigenvalue.  Hermiticity is checked over those entries only: a zero
+    entry with a zero mirror adds nothing.
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
@@ -265,13 +260,11 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
     tr = float(np.real(np.trace(rho)))
     if not (1.0 - leak_tol <= tr <= 1.0 + 1e-9):
         raise ValueError(f"trace {tr!r} outside [1-{leak_tol:g}, 1+1e-9]")
-    if np.array_equal(rows, cols):
-        min_eig = float(rho.diagonal().real.min())
-    else:
-        min_eig = float(np.linalg.eigvalsh(rho).min())
+    min_eig = float(rho.diagonal().real.min() if np.array_equal(rows, cols)
+                    else np.linalg.eigvalsh(rho).min())
     if not min_eig >= -pos_tol:
         raise ValueError(f"not positive: min eigenvalue {min_eig:g} < -{pos_tol:g}")
-    return rows, cols
+    return rows, cols, min_eig
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +284,10 @@ class _Band:
 
     with a_i = i + k/2, b_i = (m_{i+k} + m_i)/2 for m the diagonal of the
     truncated a a+ (zero at the top level) and c_i = sqrt((i+k+1)(i+1)).
-    The coefficients vanish on the padding, so it stays zero.  Row 0 is
-    always k = 0, the population ladder.  When it is the only row the
+    The generator is g_down D + g_up U, with ``taps`` = (D, U) as three
+    taps each: taps[., d, j, i] multiplies x[j, i + d - 1].  The taps vanish
+    on the padding and at both row ends, so the padding stays zero.  Row 0
+    is always k = 0, the population ladder; when it is the only row the
     state is real and diagonal.
     """
 
@@ -305,17 +300,24 @@ class _Band:
         self.mask = inside = top < dim
         m = np.concatenate((np.arange(1.0, dim), np.zeros(dim)))
         self.levels = i.astype(float)
-        self.anti_down = np.where(inside, i + 0.5 * k, 0.0)
-        self.anti_up = np.where(inside, 0.5 * (m[top] + m[i]), 0.0)
+        self.taps = np.zeros((2, 3, *inside.shape))
+        self.taps[0, 1] = np.where(inside, -(i + 0.5 * k), 0.0)
+        self.taps[1, 1] = np.where(inside, -0.5 * (m[top] + m[i]), 0.0)
         top = top[:, :-1] + 1.0
-        self.jump = np.where(top < dim, np.sqrt(top * (i[:-1] + 1.0)), 0.0)
+        self.taps[0, 2, :, :-1] = np.where(top < dim, np.sqrt(top * (i[:-1] + 1.0)), 0.0)
+        self.taps[1, 0, :, 1:] = self.taps[0, 2, :, :-1]
         rows, cols = np.nonzero(inside)
         self.lower = (cols + self.offsets[rows], cols)
 
+    def operator(self, g_down: float, g_up: float) -> np.ndarray:
+        """The taps of g_down D + g_up U, shape (3, rows, dim)."""
+        return g_down * self.taps[0] + g_up * self.taps[1]
+
     def rhs(self, x: np.ndarray, g_down: float, g_up: float) -> np.ndarray:
-        out = x * (-g_down * self.anti_down - g_up * self.anti_up)
-        out[..., :-1] += g_down * self.jump * x[..., 1:]
-        out[..., 1:] += g_up * self.jump * x[..., :-1]
+        op = self.operator(g_down, g_up)
+        out = op[1] * x
+        out[..., :-1] += op[2, :, :-1] * x[..., 1:]
+        out[..., 1:] += op[0, :, 1:] * x[..., :-1]
         return out
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
@@ -356,21 +358,44 @@ def lindblad_rhs(rho: np.ndarray, t: float, model: RateModel) -> np.ndarray:
 _BUILD_ROWS = 2048
 
 
-def _staged_step(band: _Band, model: RateModel, dt: float):
-    """RK4 step ``x, n -> x(n dt)`` that evaluates the rates at every stage."""
-    levels = band.levels
-
-    def rhs(x, t):
-        g_down, g_up = model.rates(t, float(levels @ x[0].real))
-        return band.rhs(x, g_down, g_up)
+def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
+    """RK4 step ``x, n -> x(n dt)`` whose stage rates read the stage state,
+    starting from x0.  The state and the stage state each sit in a flat
+    buffer between two zeros, and three shifted views of it are x[j, i - 1],
+    x[j, i] and x[j, i + 1] (a view that crosses a row end meets a zero
+    tap).  The step keeps the state, so its ``x`` argument is not read.
+    """
+    nb, dim = x0.shape
+    taps, levels = band.taps.reshape(2, -1), band.levels
+    op = np.empty((3, nb, dim))
+    op_flat = op.reshape(-1)
+    prod = np.empty(op.shape, dtype=x0.dtype)
+    slopes = np.empty((4, nb, dim), dtype=x0.dtype)
+    weights = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+    bufs = np.zeros((2, nb * dim + 2), dtype=x0.dtype)
+    state, stage = bufs[:, 1:-1].reshape(2, nb, dim)
+    state[...] = x0
+    state_taps, stage_taps = (np.lib.stride_tricks.as_strided(
+        buf, (3, nb, dim), (buf.itemsize, dim * buf.itemsize, buf.itemsize),
+        writeable=False) for buf in bufs)
+    # stage s reads its rates at t + c_s off the state (s = 0) or the stage state
+    inputs = [(state[0].real, state_taps)] + 3 * [(stage[0].real, stage_taps)]
+    stages = list(zip((0.0, 0.5 * dt, 0.5 * dt, dt), slopes, inputs))
+    slopes_flat = slopes.reshape(4, -1).view(float)
+    stage_flat = stage.reshape(-1).view(float)
 
     def step(x, n):
         t = (n - 1) * dt
-        k1 = rhs(x, t)
-        k2 = rhs(x + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(x + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(x + dt * k3, t + dt)
-        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for c, k, (row0, x_taps) in stages:
+            if c:
+                np.multiply(prev, c, out=stage)
+                np.add(stage, state, out=stage)
+            np.dot(model.rates(t + c, float(levels @ row0)), taps, out=op_flat)
+            np.multiply(op, x_taps, out=prod)
+            prev = np.add.reduce(prod, axis=0, out=k)
+        np.dot(weights, slopes_flat, out=stage_flat)
+        np.add(state, stage, out=state)
+        return state
 
     return step
 
@@ -400,9 +425,9 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
                        f1 * f2 * f2 * f3 / 24.0]).T
     op = np.empty((nb, dim * 9))
     B = None if coeffs.ndim == 1 else np.empty((5, nb, dim * 9))
-    # (dt A)[i, i], [i, i + 1] and [i, i - 1] of every chain, as in _Band.rhs
-    diag = (-g_down * band.anti_down - g_up * band.anti_up)[..., None]
-    up, down = (g_down * band.jump)[..., None], (g_up * band.jump)[..., None]
+    # (dt A)[i, i], [i, i + 1] and [i, i - 1] of every chain
+    a = band.operator(g_down, g_up)[..., None]
+    diag, up, down = a[1], a[2, :, :-1], a[0, :, 1:]
     block = max(1, _BUILD_ROWS // dim)
     for lo in range(0, nb, block):
         chains = slice(lo, lo + block)
@@ -437,23 +462,22 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     return step
 
 
-def _evolve(band: _Band, x0: np.ndarray, model: RateModel,
-            cfg: IntegratorConfig) -> tuple[Trajectory, np.ndarray]:
+def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig,
+            min_eig0: float | None = None) -> tuple[Trajectory, np.ndarray]:
     """Fixed-step RK4 on the stored diagonals ``x0``, shared by
     :func:`integrate` and the population ladder; returns the trajectory
-    and the final diagonals.  A linear law (rates f(t) times those at
-    t = 0) steps by one banded operator (:func:`_polynomial_step`);
-    FEEDBACK, whose stage rates read the stage state, by staged stages.
-    Purity counts each k > 0 diagonal twice, for its k < 0 mirror.  A
+    and the final diagonals.  A linear law steps by one banded operator
+    (:func:`_polynomial_step`), FEEDBACK by four stages that each build
+    their taps from the state they read (:func:`_staged_step`).  Purity
+    counts each k > 0 diagonal twice, for its k < 0 mirror.  A
     checkpoint's minimum eigenvalue is the minimum population for a
-    diagonal state, else ``eigvalsh``'s.
+    diagonal state, else ``eigvalsh``'s; ``min_eig0``, if given, is the
+    one at t = 0.
     """
     x = x0
     levels, dt, n_steps = band.levels, cfg.dt, cfg.n_steps
-    if _rate_scale(model, 0.0) is None:
-        advance = _staged_step(band, model, dt)
-    else:
-        advance = _polynomial_step(band, x0, model, dt, n_steps)
+    advance = (_staged_step(band, x0, model, dt) if _rate_scale(model, 0.0) is None
+               else _polynomial_step(band, x0, model, dt, n_steps))
 
     times, n_bars, pops, traces, purities = [], [], [], [], []
     neg_rate, in_bound = [], []
@@ -472,16 +496,15 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel,
         neg_rate.append(g_down < 0.0 or g_up < 0.0)
         in_bound.append((n_sys - model.n_res) * model.gamma * t <= model.n_res)
 
-    def checkpoint(step):
+    def checkpoint(step, min_eig=None):
         t = step * dt
         tr = float(x[0].real.sum())
         if not np.all(np.isfinite(x)):
             raise IntegrationError("state is non-finite (unstable step size?)",
                                    t, tr, float("nan"))
-        if len(band.offsets) == 1:
-            min_eig = float(x[0].min())
-        else:
-            min_eig = float(np.linalg.eigvalsh(band.dense(x)).min())
+        if min_eig is None:
+            min_eig = float(x[0].min() if len(band.offsets) == 1
+                            else np.linalg.eigvalsh(band.dense(x)).min())
         check_times.append(t)
         min_eigs.append(min_eig)
         if not (1.0 - cfg.leak_tol <= tr <= 1.0 + 1e-9):
@@ -490,7 +513,7 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel,
             raise IntegrationError("positivity violated", t, tr, min_eig)
 
     record(0)
-    checkpoint(0)
+    checkpoint(0, min_eig0)
     for step in range(1, n_steps + 1):
         x = advance(x, step)
         if step % cfg.record_every == 0 or step == n_steps:
@@ -522,11 +545,11 @@ def integrate(rho0: np.ndarray, model: RateModel, cfg: IntegratorConfig) -> Traj
     :class:`IntegrationError` with the offending time and diagnostics.
     Observables are recorded every ``cfg.record_every`` steps.
     """
-    rows, cols = check_density_matrix(rho0, leak_tol=cfg.leak_tol,
-                                      pos_tol=cfg.pos_tol)
+    rows, cols, min_eig = check_density_matrix(rho0, leak_tol=cfg.leak_tol,
+                                               pos_tol=cfg.pos_tol)
     # row 0 is k = 0 (np.unique would import numpy.ma, 15 ms, on first use)
     present = np.bincount(np.concatenate(([0], np.abs(rows - cols))))
     band = _Band(rho0.shape[0], np.flatnonzero(present))
-    traj, x = _evolve(band, band.pack(rho0), model, cfg)
+    traj, x = _evolve(band, band.pack(rho0), model, cfg, min_eig)
     traj._final = band, x
     return traj

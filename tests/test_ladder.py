@@ -2,33 +2,49 @@ import numpy as np
 import pytest
 
 from qcooling import (IntegratorConfig, RateLaw, RateModel, evolve_populations,
-                      integrate, ladder_rates, number_state, thermal_state)
+                      integrate, number_state, thermal_state)
+from qcooling.lindblad import _Band
 
 CONSTANT = RateModel(law=RateLaw.CONSTANT, gamma=1.0, n_res=2.0)
 SCALED = RateModel(law=RateLaw.SCALED, gamma=1.0, n_res=2.0)
 FEEDBACK = RateModel(law=RateLaw.FEEDBACK, gamma=1.0, n_res=2.0)
 
 
+def _neighbour_rates(model, n_sys, t, dim):
+    """Each level's rates down to i - 1 and up to i + 1: minus the middle
+    taps of the k = 0 row of the generator's D and U bands, scaled by the
+    law's (g_down, g_up)."""
+    g_down, g_up = model.rates(t, n_sys)
+    down, up = _Band(dim, [0]).taps[:, 1, 0]
+    return -g_down * down, -g_up * up
+
+
 def test_cold_bath_pure_decay_cascade():
     model = RateModel(law=RateLaw.CONSTANT, gamma=1.0, n_res=0.0)
-    rates = ladder_rates(model, 5.0, 0.3, 12)
-    assert np.all(rates.up == 0.0)
-    assert np.allclose(rates.down, np.arange(12) * 1.0)
+    down, up = _neighbour_rates(model, 5.0, 0.3, 12)
+    assert np.all(up == 0.0)
+    assert np.allclose(down, np.arange(12) * 1.0)
 
 
 def test_neighbour_rates_warm_bath():
-    rates = ladder_rates(CONSTANT, 5.0, 0.0, 10)
-    assert rates.down[3] == pytest.approx(9.0)    # 3 * gamma * (1 + n_res)
-    assert rates.up[3] == pytest.approx(8.0)      # 4 * gamma * n_res
-    assert rates.down[0] == 0.0
-    assert rates.up[-1] == 0.0                    # reflecting truncation wall
+    down, up = _neighbour_rates(CONSTANT, 5.0, 0.0, 10)
+    assert down[3] == pytest.approx(9.0)    # 3 * gamma * (1 + n_res)
+    assert up[3] == pytest.approx(8.0)      # 4 * gamma * n_res
+    assert down[0] == 0.0
+    assert up[-1] == 0.0                    # reflecting truncation wall
+    # what leaves a level arrives at its neighbour, and nothing else moves
+    down_taps, up_taps = _Band(10, [0]).taps[:, :, 0]
+    assert np.array_equal(down_taps[2, :-1], -down_taps[1, 1:])
+    assert np.array_equal(up_taps[0, 1:], -up_taps[1, :-1])
+    assert not down_taps[0].any() and not up_taps[2].any()
+    assert down_taps[2, -1] == 0.0 and up_taps[0, 0] == 0.0
 
 
 def test_scaled_rates_double_at_inverse_gamma():
-    r0 = ladder_rates(SCALED, 5.0, 0.0, 10)
-    r1 = ladder_rates(SCALED, 5.0, 1.0, 10)
-    assert np.allclose(r1.down, 2.0 * r0.down)
-    assert np.allclose(r1.up[:-1], 2.0 * r0.up[:-1])
+    down0, up0 = _neighbour_rates(SCALED, 5.0, 0.0, 10)
+    down1, up1 = _neighbour_rates(SCALED, 5.0, 1.0, 10)
+    assert np.allclose(down1, 2.0 * down0)
+    assert np.allclose(up1[:-1], 2.0 * up0[:-1])
 
 
 def test_point_mass_matches_exponential_oracle():

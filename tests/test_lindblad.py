@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.sparse import diags
 
 from qcooling import (IntegrationError, IntegratorConfig, RateLaw, RateModel,
-                      check_density_matrix, default_dim, integrate,
+                      check_density_matrix, default_dim, evolve_populations, integrate,
                       lindblad_rhs, lowering_operator, mean_occupation,
                       number_state, thermal_state)
 
@@ -291,19 +292,17 @@ def test_unstable_step_size_aborts_with_diagnostics(model):
     assert excinfo.value.t > 0
 
 
-def test_acceptance_case_matches_staged_rk4_on_explicit_ladder():
-    # 3000 banded-operator steps against the four RK4 stages written out on
-    # the tridiagonal population generator dp/dt = (g_down D + g_up U) p
-    dim, dt, steps = 48, 1e-3, 3000
-    level = np.arange(dim, dtype=float)
-    down = np.diag(level[1:], 1) - np.diag(level)
-    up = np.diag(level[1:], -1) - np.diag(np.append(level[1:], 0.0))
+def _staged_rk4_on_explicit_ladder(p, model, dt, steps):
+    """The four RK4 stages written out on the tridiagonal population
+    generator dp/dt = (g_down D + g_up U) p, the rates read off each stage."""
+    level = np.arange(p.size, dtype=float)
+    down = diags([level[1:], -level], [1, 0], format="csr")
+    up = diags([level[1:], -np.append(level[1:], 0.0)], [-1, 0], format="csr")
 
     def rhs(p, t):
-        g_down, g_up = SCALED.rates(t, 0.0)
-        return (g_down * down + g_up * up) @ p
+        g_down, g_up = model.rates(t, level @ p)
+        return g_down * (down @ p) + g_up * (up @ p)
 
-    p = number_state(8, dim).diagonal().real
     for step in range(steps):
         t = step * dt
         k1 = rhs(p, t)
@@ -311,9 +310,29 @@ def test_acceptance_case_matches_staged_rk4_on_explicit_ladder():
         k3 = rhs(p + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = rhs(p + dt * k3, t + dt)
         p = p + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return p
+
+
+def test_acceptance_case_matches_staged_rk4_on_explicit_ladder():
+    # 3000 banded-operator steps against the staged explicit ladder
+    dim, dt, steps = 48, 1e-3, 3000
+    p = _staged_rk4_on_explicit_ladder(number_state(8, dim).diagonal().real,
+                                       SCALED, dt, steps)
     cfg = IntegratorConfig(dt=dt, t_end=steps * dt, record_every=steps)
     traj = integrate(number_state(8, dim), SCALED, cfg)
     assert np.abs(traj.populations[-1] - p).max() < 1e-12
+
+
+def test_feedback_ladder_at_dim_800_matches_staged_rk4_on_explicit_ladder():
+    # a thermal start spreads over all 800 levels; every stage reads its rates
+    # off its own state, so a stage that read another state's mean would show
+    dim, dt, steps = 800, 1e-4, 300
+    p0 = thermal_state(40.0, dim).diagonal().real
+    cfg = IntegratorConfig(dt=dt, t_end=steps * dt, record_every=steps)
+    traj = evolve_populations(p0, FEEDBACK, cfg)
+    p = _staged_rk4_on_explicit_ladder(p0, FEEDBACK, dt, steps)
+    assert np.abs(traj.populations[-1] - p).max() < 1e-12
+    assert traj.n_bar[-1] == pytest.approx(np.arange(dim) @ p, abs=1e-10)
 
 
 def test_negative_rate_flagged_not_clamped():
@@ -402,9 +421,11 @@ def _fully_coherent(dim, seed):
     return _pure_state(dict(enumerate(amps)), dim)
 
 
-@pytest.mark.parametrize("model", [CONSTANT, SCALED], ids=["constant", "scaled"])
+@pytest.mark.parametrize("model", [CONSTANT, SCALED, FEEDBACK],
+                         ids=["constant", "scaled", "feedback"])
 def test_many_diagonals_match_explicit_products(model):
-    # 150 diagonals of 150 rows: the step operator is built in several blocks
+    # 150 complex diagonals of 150 rows: the step operator is built in several
+    # blocks, and each FEEDBACK stage runs its taps across every row boundary
     dim, dt, steps = 150, 1e-4, 3
     rho0 = _fully_coherent(dim, 3)
     traj = integrate(rho0, model, IntegratorConfig(dt=dt, t_end=steps * dt))
@@ -425,3 +446,42 @@ def test_constant_step_peak_memory_stays_near_one_operator():
     finally:
         tracemalloc.stop()
     assert peak < 4 * dim * dim * 9 * 8
+
+
+def test_feedback_step_peak_memory_stays_near_its_buffers():
+    # the staged step allocates its bands, taps, product, four slopes and two
+    # padded states once per call; the whole run stays within 20 complex
+    # copies of the stored state (1.6x the 4.3 MiB that fresh per-stage
+    # temporaries peaked at)
+    dim, dt = 150, 1e-5
+    rho0 = _fully_coherent(dim, 4)
+    cfg = IntegratorConfig(dt=dt, t_end=3 * dt)
+    integrate(rho0, FEEDBACK, cfg)
+    tracemalloc.start()
+    try:
+        integrate(rho0, FEEDBACK, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * dim * dim * 16
+
+
+def test_coherent_start_is_diagonalized_once(monkeypatch):
+    # the t = 0 checkpoint takes rho0's minimum eigenvalue from the input check
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    rho0 = _pure_state({2: 1.0, 5: 1.0j}, 12)
+    traj = integrate(rho0, CONSTANT, IntegratorConfig(dt=0.01, t_end=0.0))
+    assert len(calls) == 1
+    assert traj.min_eigenvalues[0] == eigvalsh(rho0).min()
+    bad = rho0.copy()
+    bad[2, 2] += 0.01
+    bad[5, 5] -= 0.01
+    with pytest.raises(ValueError, match="not positive"):
+        integrate(bad, CONSTANT, IntegratorConfig(dt=0.01, t_end=0.0))
