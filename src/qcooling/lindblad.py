@@ -14,12 +14,14 @@ Three rate laws are supported (:class:`RateLaw`):
 
 * ``CONSTANT``  g_down = g (1 + n_res),  g_up = g n_res  -- fixed rates.
 * ``FEEDBACK``  both rates get the additive, state-dependent correction
-  g^2 (n_sys(t) - n_res) t read off the instantaneous state.  The
-  correction enters the mean-occupation equation with a positive sign,
-  so past t = 1/g the mean diverges super-exponentially; the law is only
-  meaningful on t < 1/g.  It can also drive g_up transiently negative
-  when n_sys < n_res; negative rates are allowed but flagged per sample
-  rather than clamped.
+  c = g^2 (n_sys(t) - n_res) t read off the instantaneous state.  As
+  g_down - g_up = g, the mean is n_res + (n(0) - n_res) exp(-g t + g^2 t^2/2),
+  which diverges past t = 1/g, so the law is only meaningful on t < 1/g.
+  From n(0) = 8 into n_res = 2 it reads 5.64 at t = 1/g, against 4.21 for
+  Newton's law and 3.34 for the accelerated one: it cools slower than
+  Newton's, and ``SCALED`` is the law that shows the acceleration.  It can
+  also drive g_up negative when n_sys < n_res; such rates are flagged per
+  sample, not clamped.
 * ``SCALED``    both constant rates multiplied by (1 + g t), which makes
   the mean occupation follow the accelerated closed form
   n_res + (n(0) - n_res) exp(-g t (1 + g t / 2)) exactly.
@@ -31,21 +33,23 @@ on n_sys(t) is set by the population reaching the highest level.
 :func:`default_dim` sizes the truncation by a Poisson-tail rule; a
 thermal state's geometric tail needs more levels (``_thermal_dim``).
 
-Only the diagonals of rho present at t = 0 are stored and stepped
-(:class:`_Band`), at O(#diagonals * dim) per step; the generator is
-g_down D + g_up U for two fixed three-tap bands D and U.  Under CONSTANT
-and SCALED the rates are f(t) times fixed ones, so one RK4 step is a
-degree-4 polynomial in dt A, applied as one 9-diagonal banded operator
-built once per call.  Each of FEEDBACK's four stages reads its rates off
-the stage state, builds its taps from D and U with one dot and applies
-them with one banded product.  Both are the same RK4 map up to rounding.
-The README gives the step's measured stability limit; a step beyond it
-blows up, and the trace and positivity checkpoints raise IntegrationError.
+Only the diagonals rho[i + k, i] (k >= 0) present at t = 0 are stored,
+one per row of a (rows, dim) array (:class:`_Band`), and each evolves on
+its own.  A banded operator is stored taps-first, (width, rows, dim), with
+op[d, j, i] multiplying x[j, i + d - width // 2]; :func:`_banded` applies
+it to the shifted views :func:`_shifted` makes of a flat, zero-bordered
+state.  The generator is g_down D + g_up U for two fixed three-tap D and
+U.  Under CONSTANT and SCALED one RK4 step is a degree-4 polynomial in
+dt A, one nine-tap operator; each FEEDBACK stage builds its three taps
+from the rates it reads off its own state.  The README gives the step's
+measured stability limit; a step beyond it blows up, and the trace and
+positivity checkpoints raise IntegrationError.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -90,8 +94,9 @@ class RateModel:
         if not (math.isfinite(self.n_res) and self.n_res >= 0):
             raise ValueError(f"n_res must be >= 0 and finite, got {self.n_res}")
 
-    def rates(self, t: float, n_sys: float) -> tuple[float, float]:
-        """(g_down, g_up) at time t for instantaneous mean occupation n_sys."""
+    def rates(self, t, n_sys):
+        """(g_down, g_up) at time t for mean occupation n_sys, either of which
+        may be an array of samples (a law that reads neither returns scalars)."""
         g, n_res = self.gamma, self.n_res
         f = _rate_scale(self, t)
         if f is not None:
@@ -117,8 +122,10 @@ class IntegratorConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
-        if self.record_every < 1 or self.check_every < 1:
-            raise ValueError("record_every and check_every must be >= 1")
+        for name in ("record_every", "check_every"):
+            every = getattr(self, name)
+            if not (hasattr(every, "__index__") and operator.index(every) >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {every!r}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError(f"t_end={self.t_end!r} is not a whole number of steps "
                              f"dt={self.dt!r}; the nearest is {self.n_steps * self.dt!r}")
@@ -272,22 +279,18 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 class _Band:
-    """The dissipator acting on a set of stored diagonals of rho.
-
-    Row j of a state holds the offset-k_j diagonal x[j, i] = rho[i + k_j, i]
-    for k_j >= 0, zero-padded to length dim; the k < 0 diagonals follow by
-    Hermiticity.  The dissipator maps each diagonal onto itself as a
-    tridiagonal chain,
+    """The dissipator acting on the stored diagonals of rho (module
+    docstring), row j holding the offset ``offsets[j]`` diagonal.  It maps
+    each diagonal onto itself as a tridiagonal chain,
 
         dx_i/dt = -(g_down a_i + g_up b_i) x_i
                   + g_down c_i x_{i+1} + g_up c_{i-1} x_{i-1},
 
     with a_i = i + k/2, b_i = (m_{i+k} + m_i)/2 for m the diagonal of the
     truncated a a+ (zero at the top level) and c_i = sqrt((i+k+1)(i+1)).
-    The generator is g_down D + g_up U, with ``taps`` = (D, U) as three
-    taps each: taps[., d, j, i] multiplies x[j, i + d - 1].  The taps vanish
-    on the padding and at both row ends, so the padding stays zero.  Row 0
-    is always k = 0, the population ladder; when it is the only row the
+    ``taps`` holds D and U, shape (2, 3, rows, dim); they vanish on the
+    padding and at both row ends, so the padding stays zero.  Row 0 is
+    always k = 0, the population ladder; when it is the only row the
     state is real and diagonal.
     """
 
@@ -313,13 +316,6 @@ class _Band:
         """The taps of g_down D + g_up U, shape (3, rows, dim)."""
         return g_down * self.taps[0] + g_up * self.taps[1]
 
-    def rhs(self, x: np.ndarray, g_down: float, g_up: float) -> np.ndarray:
-        op = self.operator(g_down, g_up)
-        out = op[1] * x
-        out[..., :-1] += op[2, :, :-1] * x[..., 1:]
-        out[..., 1:] += op[0, :, 1:] * x[..., :-1]
-        return out
-
     def pack(self, rho: np.ndarray) -> np.ndarray:
         """Stored diagonals of the Hermitian part of rho (real if k = 0 only)."""
         r, c = self.lower
@@ -335,6 +331,26 @@ class _Band:
         return rho
 
 
+def _shifted(x0: np.ndarray, width: int):
+    """Two states of x0's shape, the first set to x0, each in a flat buffer
+    between width // 2 zeros at either end, and for each its read-only
+    views x[j, i + d - width // 2] of shape (width, rows, dim)."""
+    nb, dim = x0.shape
+    h, step = width // 2, x0.itemsize
+    bufs = np.zeros((2, nb * dim + 2 * h), dtype=x0.dtype)
+    states = bufs[:, h:h + nb * dim].reshape(2, nb, dim)
+    states[0] = x0
+    return states, [np.lib.stride_tricks.as_strided(
+        buf, (width, nb, dim), (step, dim * step, step), writeable=False) for buf in bufs]
+
+
+def _banded(op: np.ndarray, views: np.ndarray, prod: np.ndarray, out: np.ndarray):
+    """out[j, i] = sum_d op[d, j, i] x[j, i + d - width // 2] for the views
+    of x from :func:`_shifted`; ``prod`` is scratch of op's shape."""
+    np.multiply(op, views, out=prod)
+    return np.add.reduce(prod, axis=0, out=out)
+
+
 def lindblad_rhs(rho: np.ndarray, t: float, model: RateModel) -> np.ndarray:
     """Right-hand side of the master equation at time t (rotating frame).
 
@@ -345,25 +361,25 @@ def lindblad_rhs(rho: np.ndarray, t: float, model: RateModel) -> np.ndarray:
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     band = _Band(rho.shape[0], np.arange(rho.shape[0]))
-    g_down, g_up = model.rates(t, mean_occupation(rho))
+    op = band.operator(*model.rates(t, mean_occupation(rho)))
+    prod = np.empty(op.shape, dtype=complex)
     # pack keeps the Hermitian part, and rho = herm(rho) + i herm(-i rho)
-    herm, skew = (band.dense(band.rhs(band.pack(part), g_down, g_up))
-                  for part in (rho, -1j * rho))
+    views = (_shifted(band.pack(part), 3)[1][0] for part in (rho, -1j * rho))
+    herm, skew = (band.dense(_banded(op, x, prod, np.empty_like(prod[0]))) for x in views)
     return herm + 1j * skew
 
 
-# rows of the powers (dt A)^j that _polynomial_step builds at once: a Fock
-# or few-level state is one block, while a fully coherent one needs
-# 45 * _BUILD_ROWS floats of temporaries, not five copies of its operator
+# rows that _polynomial_step builds and applies at once: a Fock or few-level
+# state is one block, while a fully coherent one needs 45 * _BUILD_ROWS floats
+# of build temporaries and 9 * _BUILD_ROWS products, not copies of its operator
 _BUILD_ROWS = 2048
 
 
 def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
     """RK4 step ``x, n -> x(n dt)`` whose stage rates read the stage state,
-    starting from x0.  The state and the stage state each sit in a flat
-    buffer between two zeros, and three shifted views of it are x[j, i - 1],
-    x[j, i] and x[j, i + 1] (a view that crosses a row end meets a zero
-    tap).  The step keeps the state, so its ``x`` argument is not read.
+    starting from x0.  The state and the stage state are the buffers of
+    :func:`_shifted`; a stage is one dot of its rates with D and U and one
+    :func:`_banded` product.  The ``x`` argument is not read.
     """
     nb, dim = x0.shape
     taps, levels = band.taps.reshape(2, -1), band.levels
@@ -372,12 +388,7 @@ def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
     prod = np.empty(op.shape, dtype=x0.dtype)
     slopes = np.empty((4, nb, dim), dtype=x0.dtype)
     weights = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
-    bufs = np.zeros((2, nb * dim + 2), dtype=x0.dtype)
-    state, stage = bufs[:, 1:-1].reshape(2, nb, dim)
-    state[...] = x0
-    state_taps, stage_taps = (np.lib.stride_tricks.as_strided(
-        buf, (3, nb, dim), (buf.itemsize, dim * buf.itemsize, buf.itemsize),
-        writeable=False) for buf in bufs)
+    (state, stage), (state_taps, stage_taps) = _shifted(x0, 3)
     # stage s reads its rates at t + c_s off the state (s = 0) or the stage state
     inputs = [(state[0].real, state_taps)] + 3 * [(stage[0].real, stage_taps)]
     stages = list(zip((0.0, 0.5 * dt, 0.5 * dt, dt), slopes, inputs))
@@ -391,8 +402,7 @@ def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
                 np.multiply(prev, c, out=stage)
                 np.add(stage, state, out=stage)
             np.dot(model.rates(t + c, float(levels @ row0)), taps, out=op_flat)
-            np.multiply(op, x_taps, out=prod)
-            prev = np.add.reduce(prod, axis=0, out=k)
+            prev = _banded(op, x_taps, prod, k)
         np.dot(weights, slopes_flat, out=stage_flat)
         np.add(state, stage, out=state)
         return state
@@ -407,14 +417,12 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     The four stages compose to x <- sum_j c_j (dt A)^j x, with f1, f2, f3
     the scale at t, t + dt/2 and t + dt:
     c = (1, (f1 + 4 f2 + f3)/6, f2 (f1 + f2 + f3)/6, f2^2 (f1 + f3)/12,
-    f1 f2^2 f3/24).  Each (dt A)^j of a tridiagonal chain has at most nine
-    diagonals, P[j, i, d] = (dt A)^j[i, i + d - 4]; P[j] is dt A P[j - 1]
-    as a banded product, built for a block of stored diagonals at a time
-    (``_BUILD_ROWS``), so the temporaries do not grow with their number.
-    CONSTANT keeps only sum_j c_j P[j]; SCALED, whose c_j change every
-    step, keeps the five powers and sums them each step.  A step is one
-    9-wide banded product on a zero-padded copy of the state (the step
-    keeps that copy, so its ``x`` argument is not read).
+    f1 f2^2 f3/24).  P[j] holds the nine taps of (dt A)^j, built as
+    dt A P[j - 1] for ``_BUILD_ROWS // dim`` stored diagonals at a time,
+    the blocks in which the operator is also applied.  CONSTANT keeps only
+    sum_j c_j P[j]; SCALED, whose c_j change every step, keeps the five
+    powers and sums them each step.  The state alternates between the two
+    buffers of :func:`_shifted`, so the ``x`` argument is not read.
     """
     nb, dim = x0.shape
     g_down, g_up = (dt * g for g in model.rates(0.0, 0.0))
@@ -423,40 +431,38 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     coeffs = np.array([np.ones_like(f1), (f1 + 4.0 * f2 + f3) / 6.0,
                        f2 * (f1 + f2 + f3) / 6.0, f2 * f2 * (f1 + f3) / 12.0,
                        f1 * f2 * f2 * f3 / 24.0]).T
-    op = np.empty((nb, dim * 9))
-    B = None if coeffs.ndim == 1 else np.empty((5, nb, dim * 9))
+    op = np.empty((9, nb, dim))
+    B = None if coeffs.ndim == 1 else np.empty((5, 9, nb, dim))
     # (dt A)[i, i], [i, i + 1] and [i, i - 1] of every chain
-    a = band.operator(g_down, g_up)[..., None]
-    diag, up, down = a[1], a[2, :, :-1], a[0, :, 1:]
-    block = max(1, _BUILD_ROWS // dim)
-    for lo in range(0, nb, block):
-        chains = slice(lo, lo + block)
-        P = np.zeros((5, *diag[chains].shape[:2], 9))
-        P[0, ..., 4] = 1.0
+    a = band.operator(g_down, g_up)[:, None]
+    diag, up, down = a[1], a[2, ..., :-1], a[0, ..., 1:]
+    size = max(1, _BUILD_ROWS // dim)
+    blocks = [slice(lo, min(lo + size, nb)) for lo in range(0, nb, size)]
+    for chains in blocks:
+        P = np.zeros((5, 9, *diag[:, chains].shape[1:]))
+        P[0, 4] = 1.0
         for j in range(1, 5):
-            np.multiply(P[j - 1], diag[chains], out=P[j])
-            P[j, :, :-1, 1:] += up[chains] * P[j - 1, :, 1:, :-1]
-            P[j, :, 1:, :-1] += down[chains] * P[j - 1, :, :-1, 1:]
+            np.multiply(P[j - 1], diag[:, chains], out=P[j])
+            P[j, 1:, :, :-1] += up[:, chains] * P[j - 1, :-1, :, 1:]
+            P[j, :-1, :, 1:] += down[:, chains] * P[j - 1, 1:, :, :-1]
         if B is None:
-            np.dot(coeffs, P.reshape(5, -1), out=op[chains].reshape(-1))
+            op[:, chains] = np.tensordot(coeffs, P, 1)
         else:
-            B[:, chains] = P.reshape(5, -1, dim * 9)
+            B[:, :, chains] = P
     if B is not None:
-        B, op = B.reshape(5, -1), op.reshape(-1)
+        B, op_flat = B.reshape(5, -1), op.reshape(-1)
 
-    # two padded buffers alternate; complex entries are (re, im) pairs
-    pad = np.zeros((2, nb, dim + 8), dtype=x0.dtype)
-    pad[0, :, 4:-4] = x0
-    states = pad[:, :, 4:-4]
-    parts = pad.view(float).reshape(2, nb, dim + 8, -1)
-    windows = np.lib.stride_tricks.sliding_window_view(parts, 9, axis=2)
-    outs = parts[:, :, 4:-4]
-    banded = op.reshape(nb, dim, 9)
+    states, views = _shifted(x0, 9)
+    prod = np.empty((9, min(size, nb), dim), dtype=x0.dtype)
+    # step n reads the state in buffer (n - 1) % 2 and writes the other one
+    products = [[(op[:, r], views[s][:, r], prod[:, :r.stop - r.start], states[1 - s][r])
+                 for r in blocks] for s in (0, 1)]
 
     def step(x, n):
         if B is not None:
-            np.dot(coeffs[n - 1], B, out=op)
-        np.einsum("bid,biwd->biw", banded, windows[(n - 1) % 2], out=outs[n % 2])
+            np.dot(coeffs[n - 1], B, out=op_flat)
+        for args in products[(n - 1) % 2]:
+            _banded(*args)
         return states[n % 2]
 
     return step
@@ -466,37 +472,21 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
             min_eig0: float | None = None) -> tuple[Trajectory, np.ndarray]:
     """Fixed-step RK4 on the stored diagonals ``x0``, shared by
     :func:`integrate` and the population ladder; returns the trajectory
-    and the final diagonals.  A linear law steps by one banded operator
-    (:func:`_polynomial_step`), FEEDBACK by four stages that each build
-    their taps from the state they read (:func:`_staged_step`).  Purity
-    counts each k > 0 diagonal twice, for its k < 0 mirror.  A
-    checkpoint's minimum eigenvalue is the minimum population for a
-    diagonal state, else ``eigvalsh``'s; ``min_eig0``, if given, is the
-    one at t = 0.
+    and the final diagonals.  A linear law steps by
+    :func:`_polynomial_step`, FEEDBACK by :func:`_staged_step`.  A sample
+    keeps the populations and the purity (each k > 0 diagonal counted
+    twice, for its k < 0 mirror); the mean, trace and rate flags of all
+    samples are evaluated on arrays after the loop.  A checkpoint's
+    minimum eigenvalue is the minimum population for a diagonal state,
+    else ``eigvalsh``'s; ``min_eig0``, if given, is the one at t = 0.
     """
     x = x0
-    levels, dt, n_steps = band.levels, cfg.dt, cfg.n_steps
+    dt, n_steps = cfg.dt, cfg.n_steps
     advance = (_staged_step(band, x0, model, dt) if _rate_scale(model, 0.0) is None
                else _polynomial_step(band, x0, model, dt, n_steps))
+    pops, purities, check_times, min_eigs = [], [], [], []
 
-    times, n_bars, pops, traces, purities = [], [], [], [], []
-    neg_rate, in_bound = [], []
-    check_times, min_eigs = [], []
-
-    def record(step):
-        t = step * dt
-        p = x[0].real
-        n_sys = float(levels @ p)
-        g_down, g_up = model.rates(t, n_sys)
-        times.append(t)
-        n_bars.append(n_sys)
-        pops.append(p.copy())
-        traces.append(float(p.sum()))
-        purities.append(2.0 * float(np.vdot(x, x).real) - float(p @ p))
-        neg_rate.append(g_down < 0.0 or g_up < 0.0)
-        in_bound.append((n_sys - model.n_res) * model.gamma * t <= model.n_res)
-
-    def checkpoint(step, min_eig=None):
+    def checkpoint(step, min_eig):
         t = step * dt
         tr = float(x[0].real.sum())
         if not np.all(np.isfinite(x)):
@@ -512,27 +502,33 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
         if not min_eig >= -cfg.pos_tol:
             raise IntegrationError("positivity violated", t, tr, min_eig)
 
-    record(0)
-    checkpoint(0, min_eig0)
-    for step in range(1, n_steps + 1):
-        x = advance(x, step)
+    for step in range(n_steps + 1):
+        if step:
+            x = advance(x, step)
         if step % cfg.record_every == 0 or step == n_steps:
-            record(step)
+            p = x[0].real
+            pops.append(p.copy())
+            purities.append(2.0 * float(np.vdot(x, x).real) - float(p @ p))
         if step % cfg.check_every == 0 or step == n_steps:
-            checkpoint(step)
+            checkpoint(step, None if step else min_eig0)
 
-    traj = Trajectory(
-        times=np.array(times),
-        n_bar=np.array(n_bars),
-        populations=np.array(pops),
-        trace=np.array(traces),
+    # the recorded steps, in O(samples) (np.unique would import numpy.ma)
+    times = np.append(np.arange(0, n_steps, cfg.record_every), n_steps) * dt
+    pops = np.array(pops)
+    n_bar = pops @ band.levels
+    g_down, g_up = model.rates(times, n_bar)
+    return Trajectory(
+        times=times,
+        n_bar=n_bar,
+        populations=pops,
+        trace=pops.sum(axis=1),
         purity=np.array(purities),
-        negative_rate=np.array(neg_rate, dtype=bool),
-        within_rate_bound=np.array(in_bound, dtype=bool),
+        # a law that reads neither time nor state gives one flag for all
+        negative_rate=np.full(times.shape, (g_down < 0.0) | (g_up < 0.0)),
+        within_rate_bound=(n_bar - model.n_res) * model.gamma * times <= model.n_res,
         check_times=np.array(check_times),
         min_eigenvalues=np.array(min_eigs),
-    )
-    return traj, x
+    ), x
 
 
 def integrate(rho0: np.ndarray, model: RateModel, cfg: IntegratorConfig) -> Trajectory:

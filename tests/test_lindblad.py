@@ -144,6 +144,14 @@ def test_t_end_must_be_a_whole_number_of_steps():
     assert IntegratorConfig(dt=0.1, t_end=0.3).n_steps == 3
 
 
+@pytest.mark.parametrize("name", ["record_every", "check_every"])
+def test_sampling_intervals_must_be_whole_numbers_of_steps(name):
+    for every in (2.5, 2.0, 0, -3, "2", None):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            IntegratorConfig(dt=0.1, t_end=1.0, **{name: every})
+    assert getattr(IntegratorConfig(dt=0.1, t_end=1.0, **{name: np.int64(3)}), name) == 3
+
+
 def test_default_dim_rule():
     assert default_dim(8.0) == 48
     assert default_dim(0.0) == 16
@@ -228,6 +236,66 @@ def test_feedback_rates_match_scalar_oracle():
     # heating-side bound flag flips once (n_sys - n_res) g t exceeds n_res
     assert traj.within_rate_bound[0]
     assert not traj.within_rate_bound[-1]
+
+
+def _integrate_populations(p0, model, cfg):
+    return integrate(np.diag(p0), model, cfg)
+
+
+INTEGRATORS = pytest.mark.parametrize(
+    "run", [_integrate_populations, evolve_populations],
+    ids=["integrate", "evolve_populations"])
+
+
+@INTEGRATORS
+def test_feedback_mean_follows_its_closed_form(run):
+    # both rates get the same correction c and g_down - g_up = gamma, so
+    # dn/dt = -gamma (n - n_res) + c, solved by the expression below; dim 160
+    # keeps the truncation wall out of reach
+    n0, dim = 8, 160
+    cfg = IntegratorConfig(dt=2.5e-4, t_end=1.0, record_every=100)
+    traj = run(number_state(n0, dim).diagonal().real, FEEDBACK, cfg)
+    t = traj.times
+    oracle = N_RES + (n0 - N_RES) * np.exp(-GAMMA * t + 0.5 * GAMMA**2 * t**2)
+    assert t[-1] == 1.0
+    assert np.abs(traj.n_bar - oracle).max() < 1e-12
+
+
+@INTEGRATORS
+def test_recorder_samples_every_record_step_and_the_last(run):
+    p0 = number_state(8, 48).diagonal().real
+    traj = run(p0, CONSTANT, IntegratorConfig(dt=1e-3, t_end=7e-3, record_every=3))
+    every = run(p0, CONSTANT, IntegratorConfig(dt=1e-3, t_end=7e-3))
+    assert np.array_equal(traj.times, np.array([0, 3, 6, 7]) * 1e-3)
+    assert np.array_equal(traj.populations, every.populations[[0, 3, 6, 7]])
+    assert np.array_equal(traj.purity, every.purity[[0, 3, 6, 7]])
+    start = run(p0, CONSTANT, IntegratorConfig(dt=1e-3, t_end=0.0))
+    assert start.times.tolist() == [0.0]
+    assert start.populations.tolist() == [p0.tolist()]
+    for samples in (start.n_bar, start.trace, start.purity, start.negative_rate,
+                    start.within_rate_bound):
+        assert samples.shape == (1,)
+
+
+@INTEGRATORS
+@pytest.mark.parametrize("model", [CONSTANT, SCALED, FEEDBACK],
+                         ids=["constant", "scaled", "feedback"])
+@pytest.mark.parametrize("level,t_end", [(0, 2.0), (8, 1.0)])
+def test_rate_flags_match_a_per_sample_evaluation(run, model, level, t_end):
+    # a cold start in the warm bath turns g_up negative under FEEDBACK, and a
+    # hot one leaves the rate bound
+    p0 = number_state(level, 40).diagonal().real
+    traj = run(p0, model, IntegratorConfig(dt=1e-3, t_end=t_end, record_every=10))
+    negative, within = [], []
+    for t, n_sys in zip(traj.times.tolist(), traj.n_bar.tolist()):
+        g_down, g_up = model.rates(t, n_sys)
+        negative.append(g_down < 0.0 or g_up < 0.0)
+        within.append((n_sys - model.n_res) * model.gamma * t <= model.n_res)
+    assert traj.negative_rate.shape == traj.within_rate_bound.shape == traj.times.shape
+    assert traj.negative_rate.tolist() == negative
+    assert traj.within_rate_bound.tolist() == within
+    if model is FEEDBACK:
+        assert len(set(negative if level == 0 else within)) == 2
 
 
 def test_trajectory_invariants_on_benchmark():
