@@ -130,17 +130,14 @@ def _cmd_simulate(args) -> int:
 
     cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end,
                            record_every=args.record_every)
-    lines = []
     if args.law in ANALYTIC_LAWS:
         x0, x_res = (args.t0, args.tr) if temp_mode else (args.n0, args.nr)
         params = CoolingParams(x0=x0, x_res=x_res, gamma=args.gamma)
-        ts = np.arange(cfg.n_steps + 1) * args.dt
+        ts = cfg.recorded_steps * args.dt
         values = evaluate_law(LawKind.from_name(args.law), params, ts)
-        lines.extend(f"# {k}={_fmt(v)}" for k, v in header.items())
-        lines.append("t,value,valid")
-        for t, v in zip(ts, values):
-            lines.append(f"{_fmt(float(t))},{_fmt(float(v))},"
-                         f"{_fmt(t < 1.0 / args.gamma)}")
+        columns = "t,value,valid"
+        rows = [f"{_fmt(float(t))},{_fmt(float(v))},{_fmt(t < 1.0 / args.gamma)}"
+                for t, v in zip(ts, values)]
     else:
         n0, n_res = _occupation_inputs(args)
         model = RateModel(law=RateLaw.from_name(args.model),
@@ -152,19 +149,20 @@ def _cmd_simulate(args) -> int:
             dim = default_dim(max(n0, n_res))
             if not fock:
                 dim = max(dim, _thermal_dim(n0, 1e-9))
-        header.update(model=args.model, dim=dim, record_every=args.record_every)
-        lines.extend(f"# {k}={_fmt(v)}" for k, v in header.items())
+        header.update(model=args.model, dim=dim)
         rho0 = number_state(int(round(n0)), dim) if fock else thermal_state(n0, dim)
         if args.law == "lindblad":
             traj = integrate(rho0, model, cfg)
         else:
             traj = evolve_populations(rho0.diagonal().real, model, cfg)
-        lines.append("t,n_bar,trace,purity,valid,neg_rate_flag")
-        for i, t in enumerate(traj.times):
-            lines.append(",".join((
-                _fmt(float(t)), _fmt(float(traj.n_bar[i])),
-                _fmt(float(traj.trace[i])), _fmt(float(traj.purity[i])),
-                _fmt(t < 1.0 / args.gamma), _fmt(traj.negative_rate[i]))))
+        columns = "t,n_bar,trace,purity,valid,neg_rate_flag"
+        rows = [",".join((
+            _fmt(float(t)), _fmt(float(traj.n_bar[i])),
+            _fmt(float(traj.trace[i])), _fmt(float(traj.purity[i])),
+            _fmt(t < 1.0 / args.gamma), _fmt(traj.negative_rate[i])))
+            for i, t in enumerate(traj.times)]
+    header["record_every"] = args.record_every
+    lines = [f"# {k}={_fmt(v)}" for k, v in header.items()] + [columns] + rows
     _write_output(lines, args.out)
     return 0
 

@@ -33,9 +33,9 @@ property of the wide-band idealization, not of the literal triple
 integral; the toolkit verifies the former (see the decisions ledger of
 the build for the measured comparison).
 
-Real parts carry the dissipative (resonant) physics; imaginary parts
-collect the principal-value pieces (frequency-shift flavoured) and are
-reported but not checked against any target.
+The two axes detune oppositely and K(-d, t) = conj K(d, t), so one kernel
+serves both, their principal-value (frequency-shift) pieces cancel, and
+the sum is real: it carries the dissipative (resonant) physics.
 """
 
 from __future__ import annotations
@@ -165,13 +165,11 @@ class ModeGrid:
         return np.asarray(self.density) * np.asarray(self.coupling)
 
     @classmethod
-    def flat_band(cls, omega0: float, half_width: float, n_modes: int = 801,
-                  strength: float = 1.0 / (2.0 * math.pi)) -> "ModeGrid":
+    def flat_band(cls, omega0: float, half_width: float,
+                  n_modes: int = 801) -> "ModeGrid":
         """Uniform band [omega0 - half_width, omega0 + half_width] with a
-        flat D |k|^2 = strength, trapezoid weights.
-
-        The default strength 1/(2 pi) makes the decay constant 1.
-        """
+        flat D |k|^2 = 1/(2 pi), which makes the decay constant 1, and
+        trapezoid weights."""
         if omega0 - half_width <= 0:
             raise ValueError("band must stay at positive frequencies")
         if n_modes < 2:
@@ -180,7 +178,7 @@ class ModeGrid:
         w = np.full(n_modes, f[1] - f[0])
         w[0] *= 0.5
         w[-1] *= 0.5
-        return cls(frequencies=f, coupling=np.full(n_modes, strength),
+        return cls(frequencies=f, coupling=np.full(n_modes, 1.0 / (2.0 * math.pi)),
                    density=np.ones(n_modes), weights=w)
 
 
@@ -207,11 +205,11 @@ class SpectralDensityResult:
     fit_residual: float
 
 
-def _resonance_kernel(delta: np.ndarray, t: float, eps: float = 1e-6) -> np.ndarray:
-    """Closed form of int_0^t exp(i delta tau) dtau with Taylor limit for
-    |delta t| < eps."""
+def _resonance_kernel(delta: np.ndarray, t) -> np.ndarray:
+    """Closed form of int_0^t exp(i delta tau) dtau, broadcast over delta
+    and t, with its Taylor limit where |delta t| < 1e-6."""
     z = delta * t
-    small = np.abs(z) < eps
+    small = np.abs(z) < 1e-6
     d = np.where(small, 1.0, delta)
     out = (np.exp(1j * d * t) - 1.0) / (1j * d)
     return np.where(small, t * (1.0 + 0.5j * z), out)
@@ -232,9 +230,7 @@ def bath_occupations(grid: ModeGrid, omega0: float, temperature: float,
 
 
 def evolved_spectral_density(grid: ModeGrid, omega0: float, n_sys: float,
-                             temperature: float, t_values,
-                             scales: PhysicalScales | None = None,
-                             ) -> SpectralDensityResult:
+                             temperature: float, t_values) -> SpectralDensityResult:
     """Bath-feedback spectral density over ``t_values`` and its fitted slope.
 
     n_sys is held fixed across the evaluation (quasi-static reading: the
@@ -244,7 +240,7 @@ def evolved_spectral_density(grid: ModeGrid, omega0: float, n_sys: float,
     occupation difference; the fit discards the transient t < 5/half_width
     over which the resonance kernels are still building up.  Warns when
     the post-transient window is too short for a trustworthy fit (narrow
-    band and/or short times).
+    band and/or short times).  The values are real, stored as complex.
     """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.ndim != 1 or t_values.size < 2:
@@ -255,17 +251,12 @@ def evolved_spectral_density(grid: ModeGrid, omega0: float, n_sys: float,
     if not (f[0] < omega0 < f[-1]):
         raise ValueError(f"omega0={omega0} not inside grid span")
 
-    n_res = bath_occupations(grid, omega0, temperature, scales)
+    n_res = bath_occupations(grid, omega0, temperature)
     w = grid.weights * grid.strength
-    excess = n_sys - n_res
-
-    values = np.empty(t_values.size, dtype=complex)
-    for i, t in enumerate(t_values):
-        k_r = _resonance_kernel(omega0 - f, t)
-        k_s = _resonance_kernel(f - omega0, t)
-        plain_r, excess_r = np.sum(w * k_r), np.sum(w * excess * k_r)
-        plain_s, excess_s = np.sum(w * k_s), np.sum(w * excess * k_s)
-        values[i] = t * (excess_r * plain_s + plain_r * excess_s)
+    kernel = _resonance_kernel(f - omega0, t_values[:, None])
+    plain, excess = kernel @ w, kernel @ (w * (n_sys - n_res))
+    # the other axis's sums are the conjugates, so the bracket is 2 Re(...)
+    values = (2.0 * t_values * (excess.conj() * plain).real).astype(complex)
 
     half_width = 0.5 * (f[-1] - f[0])
     mask = t_values >= 5.0 / half_width

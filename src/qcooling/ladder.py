@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lindblad import IntegratorConfig, RateModel, Trajectory, _Band, _evolve
+from .lindblad import _TRACE_MIN, IntegratorConfig, RateModel, Trajectory, _Band, _evolve
 
 
 def evolve_populations(p0: np.ndarray, model: RateModel,
@@ -37,6 +37,6 @@ def evolve_populations(p0: np.ndarray, model: RateModel,
     if p0.min() < -1e-12:
         raise ValueError(f"populations must be >= -1e-12, got min {p0.min():g}")
     total = p0.sum()
-    if not (1.0 - cfg.leak_tol <= total <= 1.0 + 1e-12):
+    if not _TRACE_MIN <= total <= 1.0 + 1e-12:
         raise ValueError(f"populations must sum to 1 within budget, got {total!r}")
     return _evolve(_Band(p0.size, [0]), p0[None, :], model, cfg)[0]

@@ -105,16 +105,18 @@ class RateModel:
         return g * (1.0 + n_res) + corr, g * n_res + corr
 
 
+# the tolerance budget of every state check: Hermiticity, trace, positivity
+_HERM_TOL, _TRACE_MIN, _TRACE_MAX, _POS_TOL = 1e-12, 1.0 - 1e-6, 1.0 + 1e-9, 1e-8
+
+
 @dataclass
 class IntegratorConfig:
-    """Fixed-step RK4 settings and tolerance budget; ``t_end`` must be a
-    whole number of steps ``dt``, so that no run ends short of it."""
+    """Fixed-step RK4 settings; ``t_end`` must be a whole number of steps
+    ``dt``, so that no run ends short of it."""
 
     dt: float
     t_end: float
     record_every: int = 1
-    leak_tol: float = 1e-6
-    pos_tol: float = 1e-8
     check_every: int = 100
 
     def __post_init__(self):
@@ -134,6 +136,11 @@ class IntegratorConfig:
     def n_steps(self) -> int:
         """Number of steps from t = 0 to t_end."""
         return int(round(self.t_end / self.dt))
+
+    @property
+    def recorded_steps(self) -> np.ndarray:
+        """Every ``record_every``-th step and the last (np.unique imports numpy.ma)."""
+        return np.append(np.arange(0, self.n_steps, self.record_every), self.n_steps)
 
 
 @dataclass
@@ -158,8 +165,8 @@ class Trajectory:
     purity: np.ndarray
     negative_rate: np.ndarray
     within_rate_bound: np.ndarray
-    check_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    min_eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0))
+    check_times: np.ndarray
+    min_eigenvalues: np.ndarray
     _final: tuple[_Band, np.ndarray] | None = field(default=None, repr=False)
 
     @cached_property
@@ -249,10 +256,9 @@ def mean_occupation(rho: np.ndarray) -> float:
     return float(np.real(np.arange(rho.shape[0]) @ rho.diagonal()))
 
 
-def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
-                         leak_tol: float = 1e-6, pos_tol: float = 1e-8):
+def check_density_matrix(rho: np.ndarray):
     """Raise ValueError unless rho is Hermitian, near-unit-trace, and PSD
-    within the given tolerances (a diagonal rho skips ``eigvalsh``).
+    within the tolerance budget (a diagonal rho skips ``eigvalsh``).
 
     Returns the (rows, cols) of rho's nonzero entries and its minimum
     eigenvalue.  Hermiticity is checked over those entries only: a zero
@@ -262,15 +268,15 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     rows, cols = np.nonzero(rho != 0)
     herm = np.abs(rho[rows, cols] - rho[cols, rows].conj()).max(initial=0.0)
-    if not herm <= herm_tol:
-        raise ValueError(f"not Hermitian: max asymmetry {herm:g} > {herm_tol:g}")
+    if not herm <= _HERM_TOL:
+        raise ValueError(f"not Hermitian: max asymmetry {herm:g} > {_HERM_TOL:g}")
     tr = float(np.real(np.trace(rho)))
-    if not (1.0 - leak_tol <= tr <= 1.0 + 1e-9):
-        raise ValueError(f"trace {tr!r} outside [1-{leak_tol:g}, 1+1e-9]")
+    if not _TRACE_MIN <= tr <= _TRACE_MAX:
+        raise ValueError(f"trace {tr!r} outside [{_TRACE_MIN!r}, {_TRACE_MAX!r}]")
     min_eig = float(rho.diagonal().real.min() if np.array_equal(rows, cols)
                     else np.linalg.eigvalsh(rho).min())
-    if not min_eig >= -pos_tol:
-        raise ValueError(f"not positive: min eigenvalue {min_eig:g} < -{pos_tol:g}")
+    if not min_eig >= -_POS_TOL:
+        raise ValueError(f"not positive: min eigenvalue {min_eig:g} < -{_POS_TOL:g}")
     return rows, cols, min_eig
 
 
@@ -376,10 +382,10 @@ _BUILD_ROWS = 2048
 
 
 def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
-    """RK4 step ``x, n -> x(n dt)`` whose stage rates read the stage state,
+    """RK4 step ``n -> x(n dt)`` whose stage rates read the stage state,
     starting from x0.  The state and the stage state are the buffers of
     :func:`_shifted`; a stage is one dot of its rates with D and U and one
-    :func:`_banded` product.  The ``x`` argument is not read.
+    :func:`_banded` product.
     """
     nb, dim = x0.shape
     taps, levels = band.taps.reshape(2, -1), band.levels
@@ -395,7 +401,7 @@ def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
     slopes_flat = slopes.reshape(4, -1).view(float)
     stage_flat = stage.reshape(-1).view(float)
 
-    def step(x, n):
+    def step(n):
         t = (n - 1) * dt
         for c, k, (row0, x_taps) in stages:
             if c:
@@ -412,7 +418,7 @@ def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
 
 def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
                      dt: float, n_steps: int):
-    """RK4 step ``x, n -> x(n dt)`` for a generator f(t) A, starting from x0.
+    """RK4 step ``n -> x(n dt)`` for a generator f(t) A, starting from x0.
 
     The four stages compose to x <- sum_j c_j (dt A)^j x, with f1, f2, f3
     the scale at t, t + dt/2 and t + dt:
@@ -422,7 +428,7 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     the blocks in which the operator is also applied.  CONSTANT keeps only
     sum_j c_j P[j]; SCALED, whose c_j change every step, keeps the five
     powers and sums them each step.  The state alternates between the two
-    buffers of :func:`_shifted`, so the ``x`` argument is not read.
+    buffers of :func:`_shifted`.
     """
     nb, dim = x0.shape
     g_down, g_up = (dt * g for g in model.rates(0.0, 0.0))
@@ -458,7 +464,7 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     products = [[(op[:, r], views[s][:, r], prod[:, :r.stop - r.start], states[1 - s][r])
                  for r in blocks] for s in (0, 1)]
 
-    def step(x, n):
+    def step(n):
         if B is not None:
             np.dot(coeffs[n - 1], B, out=op_flat)
         for args in products[(n - 1) % 2]:
@@ -484,6 +490,7 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
     dt, n_steps = cfg.dt, cfg.n_steps
     advance = (_staged_step(band, x0, model, dt) if _rate_scale(model, 0.0) is None
                else _polynomial_step(band, x0, model, dt, n_steps))
+    recorded = cfg.recorded_steps.tolist()   # Python ints compare fastest
     pops, purities, check_times, min_eigs = [], [], [], []
 
     def checkpoint(step, min_eig):
@@ -497,23 +504,22 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
                             else np.linalg.eigvalsh(band.dense(x)).min())
         check_times.append(t)
         min_eigs.append(min_eig)
-        if not (1.0 - cfg.leak_tol <= tr <= 1.0 + 1e-9):
+        if not _TRACE_MIN <= tr <= _TRACE_MAX:
             raise IntegrationError("trace leak exceeds budget", t, tr, min_eig)
-        if not min_eig >= -cfg.pos_tol:
+        if not min_eig >= -_POS_TOL:
             raise IntegrationError("positivity violated", t, tr, min_eig)
 
     for step in range(n_steps + 1):
         if step:
-            x = advance(x, step)
-        if step % cfg.record_every == 0 or step == n_steps:
+            x = advance(step)
+        if step == recorded[len(pops)]:
             p = x[0].real
             pops.append(p.copy())
             purities.append(2.0 * float(np.vdot(x, x).real) - float(p @ p))
         if step % cfg.check_every == 0 or step == n_steps:
             checkpoint(step, None if step else min_eig0)
 
-    # the recorded steps, in O(samples) (np.unique would import numpy.ma)
-    times = np.append(np.arange(0, n_steps, cfg.record_every), n_steps) * dt
+    times = np.array(recorded) * dt
     pops = np.array(pops)
     n_bar = pops @ band.levels
     g_down, g_up = model.rates(times, n_bar)
@@ -541,8 +547,7 @@ def integrate(rho0: np.ndarray, model: RateModel, cfg: IntegratorConfig) -> Traj
     :class:`IntegrationError` with the offending time and diagnostics.
     Observables are recorded every ``cfg.record_every`` steps.
     """
-    rows, cols, min_eig = check_density_matrix(rho0, leak_tol=cfg.leak_tol,
-                                               pos_tol=cfg.pos_tol)
+    rows, cols, min_eig = check_density_matrix(rho0)
     # row 0 is k = 0 (np.unique would import numpy.ma, 15 ms, on first use)
     present = np.bincount(np.concatenate(([0], np.abs(rows - cols))))
     band = _Band(rho0.shape[0], np.flatnonzero(present))

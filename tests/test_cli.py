@@ -87,6 +87,25 @@ def test_simulate_ladder_agrees_with_lindblad(capsys):
     assert np.abs(rows_a[:, 1] - rows_b[:, 1]).max() < 1e-8
 
 
+def test_simulate_closed_form_law_honours_record_every(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--law", "modified", "--n0", "8",
+                           "--nr", "2", "--gamma", "1", "--t-end", "3",
+                           "--dt", "0.01", "--record-every", "10")
+    assert code == 0
+    header, _, rows = parse_csv(out)
+    assert header["record_every"] == "10"
+    assert rows.shape[0] == 31
+    # an uneven grid keeps the last step, the same for both kinds of law
+    times = []
+    for law in ("modified", "ladder"):
+        code, out, _ = run_cli(capsys, "simulate", "--law", law, "--n0", "8",
+                               "--nr", "2", "--gamma", "1", "--t-end", "0.07",
+                               "--dt", "0.01", "--record-every", "3")
+        assert code == 0
+        times.append(parse_csv(out)[2][:, 0].tolist())
+    assert times[0] == times[1] == [0.0, 0.03, 0.06, 0.07]
+
+
 @pytest.mark.parametrize("law", ["lindblad", "ladder"])
 def test_simulate_thermal_start_is_sized_by_its_own_tail(capsys, law):
     # the Poisson default_dim rule gives dim 50 here, which starts at 8.307
@@ -212,6 +231,15 @@ def test_csv_deterministic(tmp_path, capsys):
         capsys.readouterr()
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_verify_runs_without_scipy():
+    # scipy is a test dependency only: the package must not import it
+    script = ("import sys; sys.modules['scipy'] = None; "
+              "from qcooling.cli import main; sys.exit(main(['verify', '--suite', 'all']))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "[FAIL]" not in proc.stdout
 
 
 def test_console_entry_point():

@@ -10,6 +10,7 @@ from qcooling import (LadderOp, ModeGrid, PhysicalScales, bath_occupations,
                       evolved_spectral_density, feedback_bracket,
                       lowering_operator, occupation_from_temperature,
                       thermal_two_point, wick_four_point)
+from qcooling.correlators import _resonance_kernel
 
 L, R = LadderOp.LOWER, LadderOp.RAISE
 
@@ -212,6 +213,18 @@ def test_imaginary_part_reported():
     res = evolved_spectral_density(grid, OMEGA0, N_RES + 5.0, T_RES, T_VALUES)
     assert np.iscomplexobj(res.values)
     assert res.fit_residual < 0.05 * abs(res.slope) * (T_VALUES[-1] - T_VALUES[0])
+
+
+def test_one_kernel_serves_both_axes():
+    # K(-d, t) = conj K(d, t), so the factorized sum has no imaginary part
+    grid = ModeGrid.flat_band(OMEGA0, HALF_WIDTH)
+    delta = grid.frequencies - OMEGA0
+    t = T_VALUES[:, None]
+    np.testing.assert_allclose(_resonance_kernel(-delta, t),
+                               _resonance_kernel(delta, t).conj(),
+                               rtol=1e-15, atol=0)
+    res = evolved_spectral_density(grid, OMEGA0, N_RES + 5.0, T_RES, T_VALUES)
+    assert np.all(res.values.imag == 0.0)
 
 
 def test_narrow_band_warns():

@@ -137,6 +137,45 @@ def test_check_density_matrix_positivity_on_both_paths(monkeypatch):
     assert len(calls) == 2
 
 
+def _diagonal(*pops):
+    return np.diag(np.array(pops, dtype=complex))
+
+
+# each bound of the tolerance budget: the state at offset e from it, the
+# bound, and the error just outside it
+BUDGET_EDGES = {
+    "hermiticity": (lambda e: np.array([[0.5, 0.1 + e], [0.1, 0.5]], dtype=complex),
+                    1e-12, "not Hermitian"),
+    "trace low": (lambda e: _diagonal(1.0 - e, 0.0), 1e-6, "trace"),
+    "trace high": (lambda e: _diagonal(1.0 + e, 0.0), 1e-9, "trace"),
+    "positivity on the diagonal": (lambda e: _diagonal(1.0 + e, -e), 1e-8, "not positive"),
+    # eigenvalues 1 + e and -e
+    "positivity by eigvalsh": (
+        lambda e: np.array([[0.5, 0.5 + e], [0.5 + e, 0.5]], dtype=complex),
+        1e-8, "not positive"),
+}
+
+
+@pytest.mark.parametrize("edge", BUDGET_EDGES)
+def test_check_density_matrix_budget_edges(edge):
+    make, bound, error = BUDGET_EDGES[edge]
+    check_density_matrix(make(0.99 * bound))
+    with pytest.raises(ValueError, match=error):
+        check_density_matrix(make(1.01 * bound))
+
+
+@pytest.mark.parametrize("make,bound,error", [
+    (lambda e: [1.0 + e, -e], 1e-12, "must be >="),
+    (lambda e: [1.0 - e, 0.0], 1e-6, "sum to 1"),
+    (lambda e: [1.0 + e, 0.0], 1e-12, "sum to 1"),
+], ids=["min population", "sum low", "sum high"])
+def test_evolve_populations_input_budget_edges(make, bound, error):
+    cfg = IntegratorConfig(dt=0.01, t_end=0.0)
+    evolve_populations(np.array(make(0.99 * bound)), CONSTANT, cfg)
+    with pytest.raises(ValueError, match=error):
+        evolve_populations(np.array(make(1.01 * bound)), CONSTANT, cfg)
+
+
 def test_t_end_must_be_a_whole_number_of_steps():
     with pytest.raises(ValueError, match="whole number of steps"):
         IntegratorConfig(dt=0.003, t_end=1.0)
