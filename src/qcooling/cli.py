@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .checks import SUITES, run_suites
 from .core import PhysicalScales, high_temp_occupation, occupation_from_temperature
 from .ladder import evolve_populations
@@ -33,11 +31,7 @@ HALF_TIME_FORMULAS = {
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".9g")
-    return str(value)
+    return format(value, ".9g") if isinstance(value, float) else str(value)
 
 
 def _write_output(lines, path):
@@ -135,9 +129,8 @@ def _cmd_simulate(args) -> int:
         params = CoolingParams(x0=x0, x_res=x_res, gamma=args.gamma)
         ts = cfg.recorded_steps * args.dt
         values = evaluate_law(LawKind.from_name(args.law), params, ts)
-        columns = "t,value,valid"
-        rows = [f"{_fmt(float(t))},{_fmt(float(v))},{_fmt(t < 1.0 / args.gamma)}"
-                for t, v in zip(ts, values)]
+        columns, template = "t,value,valid", "%.9g,%.9g,%d"
+        data = ts, values, ts < 1.0 / args.gamma
     else:
         n0, n_res = _occupation_inputs(args)
         model = RateModel(law=RateLaw.from_name(args.model),
@@ -145,8 +138,9 @@ def _cmd_simulate(args) -> int:
         fock = abs(n0 - round(n0)) < 1e-9
         dim = args.dim
         if dim is None:
-            # a thermal start's own geometric tail outweighs the Poisson rule
-            dim = default_dim(max(n0, n_res))
+            # every run relaxes to the thermal state at n_res, and a thermal
+            # start has its own geometric tail: both outweigh the Poisson rule
+            dim = max(default_dim(max(n0, n_res)), _thermal_dim(n_res, 1e-8))
             if not fock:
                 dim = max(dim, _thermal_dim(n0, 1e-9))
         header.update(model=args.model, dim=dim)
@@ -156,12 +150,12 @@ def _cmd_simulate(args) -> int:
         else:
             traj = evolve_populations(rho0.diagonal().real, model, cfg)
         columns = "t,n_bar,trace,purity,valid,neg_rate_flag"
-        rows = [",".join((
-            _fmt(float(t)), _fmt(float(traj.n_bar[i])),
-            _fmt(float(traj.trace[i])), _fmt(float(traj.purity[i])),
-            _fmt(t < 1.0 / args.gamma), _fmt(traj.negative_rate[i])))
-            for i, t in enumerate(traj.times)]
+        template = "%.9g,%.9g,%.9g,%.9g,%d,%d"
+        data = (traj.times, traj.n_bar, traj.trace, traj.purity,
+                traj.times < 1.0 / args.gamma, traj.negative_rate)
     header["record_every"] = args.record_every
+    # "%.9g" % v is format(v, ".9g") for every float; "%d" writes a flag as 1 or 0
+    rows = [template % row for row in zip(*(col.tolist() for col in data))]
     lines = [f"# {k}={_fmt(v)}" for k, v in header.items()] + [columns] + rows
     _write_output(lines, args.out)
     return 0

@@ -47,8 +47,6 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PhysicalScales
-
 
 class LadderOp(Enum):
     LOWER = "lower"
@@ -215,18 +213,12 @@ def _resonance_kernel(delta: np.ndarray, t) -> np.ndarray:
     return np.where(small, t * (1.0 + 0.5j * z), out)
 
 
-def bath_occupations(grid: ModeGrid, omega0: float, temperature: float,
-                     scales: PhysicalScales | None = None) -> np.ndarray:
-    """Thermal occupation of each grid mode at the given temperature.
-
-    With ``scales`` the mode quantum is theta0 * (w / w0) in the units of
-    theta0; without it, temperature is read in angular-frequency units
-    (oscillator quantum == frequency).
-    """
+def bath_occupations(grid: ModeGrid, temperature: float) -> np.ndarray:
+    """Thermal occupation of each grid mode at the given temperature, read
+    in angular-frequency units (oscillator quantum == frequency)."""
     if not (math.isfinite(temperature) and temperature > 0):
         raise ValueError(f"temperature must be positive, got {temperature}")
-    quantum = grid.frequencies * ((scales.theta0 / omega0) if scales else 1.0)
-    return 1.0 / np.expm1(quantum / temperature)
+    return 1.0 / np.expm1(grid.frequencies / temperature)
 
 
 def evolved_spectral_density(grid: ModeGrid, omega0: float, n_sys: float,
@@ -251,7 +243,7 @@ def evolved_spectral_density(grid: ModeGrid, omega0: float, n_sys: float,
     if not (f[0] < omega0 < f[-1]):
         raise ValueError(f"omega0={omega0} not inside grid span")
 
-    n_res = bath_occupations(grid, omega0, temperature)
+    n_res = bath_occupations(grid, temperature)
     w = grid.weights * grid.strength
     kernel = _resonance_kernel(f - omega0, t_values[:, None])
     plain, excess = kernel @ w, kernel @ (w * (n_sys - n_res))

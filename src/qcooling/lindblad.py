@@ -107,6 +107,8 @@ class RateModel:
 
 # the tolerance budget of every state check: Hermiticity, trace, positivity
 _HERM_TOL, _TRACE_MIN, _TRACE_MAX, _POS_TOL = 1e-12, 1.0 - 1e-6, 1.0 + 1e-9, 1e-8
+# steps between the checkpoints of a run, which also checks its last step
+_CHECK_EVERY = 100
 
 
 @dataclass
@@ -117,17 +119,15 @@ class IntegratorConfig:
     dt: float
     t_end: float
     record_every: int = 1
-    check_every: int = 100
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
-        for name in ("record_every", "check_every"):
-            every = getattr(self, name)
-            if not (hasattr(every, "__index__") and operator.index(every) >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {every!r}")
+        every = self.record_every
+        if not (hasattr(every, "__index__") and operator.index(every) >= 1):
+            raise ValueError(f"record_every must be an integer >= 1, got {every!r}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError(f"t_end={self.t_end!r} is not a whole number of steps "
                              f"dt={self.dt!r}; the nearest is {self.n_steps * self.dt!r}")
@@ -509,15 +509,21 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
         if not min_eig >= -_POS_TOL:
             raise IntegrationError("positivity violated", t, tr, min_eig)
 
-    for step in range(n_steps + 1):
-        if step:
-            x = advance(step)
-        if step == recorded[len(pops)]:
-            p = x[0].real
-            pops.append(p.copy())
-            purities.append(2.0 * float(np.vdot(x, x).real) - float(p @ p))
-        if step % cfg.check_every == 0 or step == n_steps:
-            checkpoint(step, None if step else min_eig0)
+    # a state that blows up between checkpoints overflows the purity of its
+    # next sample, which then runs the checkpoint; that raises, because a
+    # state inside the budget has purity <= 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps + 1):
+            if step:
+                x = advance(step)
+            if step == recorded[len(pops)]:
+                p = x[0].real
+                pops.append(p.copy())
+                purities.append(2.0 * float(np.vdot(x, x).real) - float(p @ p))
+                if not math.isfinite(purities[-1]):
+                    checkpoint(step, None)
+            if step % _CHECK_EVERY == 0 or step == n_steps:
+                checkpoint(step, None if step else min_eig0)
 
     times = np.array(recorded) * dt
     pops = np.array(pops)
@@ -541,9 +547,10 @@ def integrate(rho0: np.ndarray, model: RateModel, cfg: IntegratorConfig) -> Traj
     """Fixed-step RK4 integration of the master equation.
 
     Only the diagonals that are non-zero in rho0 are stepped, so a
-    diagonal rho0 costs O(dim) per step.  Every ``cfg.check_every`` steps
-    the trace and the minimum eigenvalue are checked against the tolerance
-    budget; a violation (including a blow-up to non-finite values) raises
+    diagonal rho0 costs O(dim) per step.  Every 100 steps, at the last
+    step and at any sample whose purity is not finite, the trace and the
+    minimum eigenvalue are checked against the tolerance budget; a
+    violation (including a blow-up to non-finite values) raises
     :class:`IntegrationError` with the offending time and diagnostics.
     Observables are recorded every ``cfg.record_every`` steps.
     """

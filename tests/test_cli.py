@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
@@ -5,8 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcooling.cli import main
+from qcooling.laws import CoolingParams, LawKind, evaluate_law
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +122,31 @@ def test_simulate_thermal_start_is_sized_by_its_own_tail(capsys, law):
     header, _, rows = parse_csv(out)
     assert header["dim"] == "187"
     assert rows[0, 1] == pytest.approx(8.5, abs=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@example(n0=0, n_res=8.0, gamma=1.0, model="constant", dt=2e-4, steps=6000)
+@given(n0=st.one_of(st.integers(0, 10), st.floats(0.1, 8.0)),
+       n_res=st.floats(0.0, 8.0), gamma=st.floats(0.5, 2.0),
+       model=st.sampled_from(["constant", "scaled"]),
+       dt=st.sampled_from([1e-4, 2e-4, 5e-4, 1e-3]), steps=st.integers(1000, 6000))
+def test_simulate_default_dim_tracks_the_closed_form_or_exits_nonzero(
+        n0, n_res, gamma, model, dt, steps):
+    # without --dim the truncation must hold both the start and the thermal
+    # state at n_res that every run relaxes to; a heating run from n0 0 into
+    # n_res 8 read 2% low at the Poisson-rule dim 48
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["simulate", "--law", "ladder", "--model", model,
+                     "--n0", repr(n0), "--nr", repr(n_res), "--gamma", repr(gamma),
+                     "--dt", repr(dt), "--t-end", repr(steps * dt),
+                     "--record-every", "500"])
+    if code:
+        return
+    _, _, rows = parse_csv(out.getvalue())
+    kind = LawKind.MARKOV if model == "constant" else LawKind.MODIFIED
+    exact = evaluate_law(kind, CoolingParams(x0=n0, x_res=n_res, gamma=gamma), rows[:, 0])
+    assert np.abs(rows[:, 1] - exact).max() / max(n0, n_res, 1.0) < 1e-5
 
 
 def test_simulate_temperature_mode_requires_map(capsys):

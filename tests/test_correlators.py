@@ -166,12 +166,8 @@ def test_decay_constant_interpolates():
 
 def test_bath_occupations_units():
     grid = ModeGrid.flat_band(omega0=50.0, half_width=20.0, n_modes=3)
-    scales = PhysicalScales(theta0=2.0, gamma=1.0)
-    with_scales = bath_occupations(grid, 50.0, 4.0, scales)
-    bare = bath_occupations(grid, 50.0, 100.0)
-    # theta0 anchored at omega0: center mode quantum is theta0 = 2, T = 4
-    assert with_scales[1] == pytest.approx(1.0 / np.expm1(0.5))
-    assert bare[1] == pytest.approx(1.0 / np.expm1(0.5))
+    # temperature in frequency units: the center mode's quantum is 50, T = 100
+    assert bath_occupations(grid, 100.0)[1] == pytest.approx(1.0 / np.expm1(0.5))
 
 
 # --- evolved spectral density ----------------------------------------------
