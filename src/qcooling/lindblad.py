@@ -109,6 +109,9 @@ class RateModel:
 _HERM_TOL, _TRACE_MIN, _TRACE_MAX, _POS_TOL = 1e-12, 1.0 - 1e-6, 1.0 + 1e-9, 1e-8
 # steps between the checkpoints of a run, which also checks its last step
 _CHECK_EVERY = 100
+# a checkpoint leaves out a level whose entries are all at most this in
+# modulus; zeroing them moves no eigenvalue by more than sqrt(2) dim times it
+_NEGLIGIBLE = 1e-30
 
 
 @dataclass
@@ -256,13 +259,41 @@ def mean_occupation(rho: np.ndarray) -> float:
     return float(np.real(np.arange(rho.shape[0]) @ rho.diagonal()))
 
 
+def _min_eigenvalue(rho: np.ndarray, g: int, entries=None) -> float:
+    """Minimum eigenvalue of the Hermitian rho, as ``eigvalsh`` of all of
+    rho finds it up to rounding, from blocks with the same eigenvalues
+    (Golub & Van Loan, section 8.1).  Every nonzero entry lies on a
+    diagonal at a multiple of g (0: rho is diagonal), so the levels of
+    each residue mod g form a block.  A level in no row or column of
+    ``entries``, the (rows, cols) of rho's kept entries (None: every level
+    is in one), counts as a zero row and column: an eigenvalue of 0.
+    """
+    if g == 0:
+        return float(rho.diagonal().real.min())
+    dim = rho.shape[0]
+    levels = (np.arange(dim) if entries is None
+              else np.flatnonzero(np.bincount(np.ravel(entries), minlength=dim)))
+    if g == 1 and len(levels) == dim:
+        return float(np.linalg.eigvalsh(rho).min())
+    blocks = [levels]
+    if g > 1:
+        # stable: each block keeps rho's level order, so eigvalsh reads rho's lower triangle
+        residues = levels % g
+        order = np.argsort(residues, kind="stable")
+        blocks = np.split(levels[order], np.flatnonzero(np.diff(residues[order])) + 1)
+    return float(min([np.linalg.eigvalsh(rho.take(b, 0).take(b, 1)).min() for b in blocks]
+                     + [0.0] * (len(levels) < dim)))
+
+
 def check_density_matrix(rho: np.ndarray):
     """Raise ValueError unless rho is Hermitian, near-unit-trace, and PSD
-    within the tolerance budget (a diagonal rho skips ``eigvalsh``).
+    within the tolerance budget.
 
-    Returns the (rows, cols) of rho's nonzero entries and its minimum
-    eigenvalue.  Hermiticity is checked over those entries only: a zero
-    entry with a zero mirror adds nothing.
+    Returns the offsets k >= 0 of rho's nonzero diagonals, ascending (0
+    among them), and its minimum eigenvalue, computed block by block
+    (:func:`_min_eigenvalue`; a diagonal rho needs no ``eigvalsh``).
+    Hermiticity is checked over the nonzero entries only: a zero entry
+    with a zero mirror adds nothing.
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
@@ -273,11 +304,12 @@ def check_density_matrix(rho: np.ndarray):
     tr = float(np.real(np.trace(rho)))
     if not _TRACE_MIN <= tr <= _TRACE_MAX:
         raise ValueError(f"trace {tr!r} outside [{_TRACE_MIN!r}, {_TRACE_MAX!r}]")
-    min_eig = float(rho.diagonal().real.min() if np.array_equal(rows, cols)
-                    else np.linalg.eigvalsh(rho).min())
+    # a unit trace puts 0 among the offsets (np.unique would import numpy.ma)
+    offsets = np.flatnonzero(np.bincount(np.abs(rows - cols)))
+    min_eig = _min_eigenvalue(rho, int(np.gcd.reduce(offsets)), (rows, cols))
     if not min_eig >= -_POS_TOL:
         raise ValueError(f"not positive: min eigenvalue {min_eig:g} < -{_POS_TOL:g}")
-    return rows, cols, min_eig
+    return offsets, min_eig
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +516,13 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
     twice, for its k < 0 mirror); the mean, trace and rate flags of all
     samples are evaluated on arrays after the loop.  A checkpoint's
     minimum eigenvalue is the minimum population for a diagonal state,
-    else ``eigvalsh``'s; ``min_eig0``, if given, is the one at t = 0.
+    else :func:`_min_eigenvalue`'s.  If some population is at most
+    ``_NEGLIGIBLE`` in modulus, it leaves out every level whose stored
+    entries all are: the tail, down to subnormal numbers, beyond the levels
+    a short run has reached, which would otherwise set the cost.  Weyl's
+    inequality bounds the change to the minimum by sqrt(2) dim
+    ``_NEGLIGIBLE``, far below ``eigvalsh``'s own rounding.  ``min_eig0``,
+    if given, is the minimum at t = 0.
     """
     x = x0
     dt, n_steps = cfg.dt, cfg.n_steps
@@ -492,6 +530,8 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
                else _polynomial_step(band, x0, model, dt, n_steps))
     recorded = cfg.recorded_steps.tolist()   # Python ints compare fastest
     pops, purities, check_times, min_eigs = [], [], [], []
+    # the stored offsets never change, so neither do the blocks' residues
+    g = int(np.gcd.reduce(band.offsets))
 
     def checkpoint(step, min_eig):
         t = step * dt
@@ -500,8 +540,10 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
             raise IntegrationError("state is non-finite (unstable step size?)",
                                    t, tr, float("nan"))
         if min_eig is None:
-            min_eig = float(x[0].min() if len(band.offsets) == 1
-                            else np.linalg.eigvalsh(band.dense(x)).min())
+            # a level with a population beyond _NEGLIGIBLE has an entry beyond it
+            min_eig = float(x[0].min()) if g == 0 else _min_eigenvalue(
+                band.dense(x), g, None if np.abs(x[0]).min() > _NEGLIGIBLE
+                else np.array(band.lower)[:, np.abs(x[band.mask]) > _NEGLIGIBLE])
         check_times.append(t)
         min_eigs.append(min_eig)
         if not _TRACE_MIN <= tr <= _TRACE_MAX:
@@ -554,10 +596,8 @@ def integrate(rho0: np.ndarray, model: RateModel, cfg: IntegratorConfig) -> Traj
     :class:`IntegrationError` with the offending time and diagnostics.
     Observables are recorded every ``cfg.record_every`` steps.
     """
-    rows, cols, min_eig = check_density_matrix(rho0)
-    # row 0 is k = 0 (np.unique would import numpy.ma, 15 ms, on first use)
-    present = np.bincount(np.concatenate(([0], np.abs(rows - cols))))
-    band = _Band(rho0.shape[0], np.flatnonzero(present))
+    offsets, min_eig = check_density_matrix(rho0)
+    band = _Band(rho0.shape[0], offsets)
     traj, x = _evolve(band, band.pack(rho0), model, cfg, min_eig)
     traj._final = band, x
     return traj

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.sparse import diags
 
@@ -115,8 +115,9 @@ def test_check_density_matrix_rejects_all_zero():
         check_density_matrix(np.zeros((5, 5), dtype=complex))
 
 
-def test_check_density_matrix_positivity_on_both_paths(monkeypatch):
-    # a diagonal matrix takes the exact shortcut, any other calls eigvalsh
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The shapes of the matrices np.linalg.eigvalsh is called on."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -125,6 +126,12 @@ def test_check_density_matrix_positivity_on_both_paths(monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+def test_check_density_matrix_positivity_on_both_paths(eigvalsh_calls):
+    # a diagonal matrix takes the exact shortcut, any other calls eigvalsh
+    calls = eigvalsh_calls
     diagonal = np.diag([1.1, -0.1, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="not positive"):
         check_density_matrix(diagonal)
@@ -162,6 +169,53 @@ def test_check_density_matrix_budget_edges(edge):
     check_density_matrix(make(0.99 * bound))
     with pytest.raises(ValueError, match=error):
         check_density_matrix(make(1.01 * bound))
+
+
+@st.composite
+def block_sparse_states(draw):
+    """Unit-trace Hermitian matrices whose nonzero entries sit on random
+    multiples of a random offset gcd, among random live levels (some
+    dead, or one live), with a minimum eigenvalue on the live levels of 0,
+    a little above it, or just below the -1e-8 budget."""
+    dim = draw(st.integers(2, 40))
+    g = draw(st.integers(1, dim - 1))
+    offsets = draw(st.sets(st.sampled_from(range(g, dim, g)), min_size=1, max_size=3))
+    keep = draw(st.lists(st.booleans(), min_size=dim, max_size=dim) | st.just([True] * dim)
+                | st.integers(0, dim - 1).map(lambda i: [j == i for j in range(dim)]))
+    live = [i for i in range(dim) if keep[i]] or [0]
+    lowest = draw(st.sampled_from((0.0, 1e-3)) | st.floats(-3e-8, -1.01e-8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = np.zeros((dim, dim), dtype=complex)
+    if len(live) == 1:
+        rho[live[0], live[0]] = 1.0
+        return rho
+    for k in offsets:
+        for i in live:
+            if i + k in live:
+                rho[i + k, i] = complex(*rng.normal(size=2))
+                rho[i, i + k] = rho[i + k, i].conjugate()
+    rho[live, live] = rng.normal(size=len(live))
+    # shift the live diagonal so that rho / trace has `lowest` on the live levels
+    block = rho[np.ix_(live, live)]
+    lam, tr, n = np.linalg.eigvalsh(block)[0], block.trace().real, len(live)
+    rho[live, live] += (lowest * tr - lam) / (1.0 - lowest * n)
+    return rho / rho.trace().real
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho=block_sparse_states())
+# a positive-definite block beside a dead level: the minimum is exactly 0
+@example(rho=np.array([[0.6, 0.2, 0.0], [0.2, 0.4, 0.0], [0.0, 0.0, 0.0]], dtype=complex))
+# offset 2: the even block is positive, the odd one has eigenvalue -0.05
+@example(rho=np.array([[0.5, 0.0, 0.1, 0.0], [0.0, 0.1, 0.0, 0.15],
+                       [0.1, 0.0, 0.3, 0.0], [0.0, 0.15, 0.0, 0.1]], dtype=complex))
+def test_check_density_matrix_min_eigenvalue_matches_dense(rho):
+    dense = np.linalg.eigvalsh(rho).min()
+    if dense < -1e-8:
+        with pytest.raises(ValueError, match="not positive"):
+            check_density_matrix(rho)
+    else:
+        assert abs(check_density_matrix(rho)[1] - dense) <= 1e-14
 
 
 @pytest.mark.parametrize("make,bound,error", [
@@ -582,22 +636,41 @@ def test_feedback_step_peak_memory_stays_near_its_buffers():
     assert peak < 20 * dim * dim * 16
 
 
-def test_coherent_start_is_diagonalized_once(monkeypatch):
-    # the t = 0 checkpoint takes rho0's minimum eigenvalue from the input check
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def spy(a):
-        calls.append(a.shape)
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+def test_coherent_start_is_diagonalized_once(eigvalsh_calls):
+    # the t = 0 checkpoint takes rho0's minimum eigenvalue from the input
+    # check, which diagonalizes only the block of its two live levels
     rho0 = _pure_state({2: 1.0, 5: 1.0j}, 12)
     traj = integrate(rho0, CONSTANT, IntegratorConfig(dt=0.01, t_end=0.0))
-    assert len(calls) == 1
-    assert traj.min_eigenvalues[0] == eigvalsh(rho0).min()
+    assert eigvalsh_calls == [(2, 2)]
+    assert traj.min_eigenvalues[0] == np.linalg.eigvalsh(rho0).min()
     bad = rho0.copy()
     bad[2, 2] += 0.01
     bad[5, 5] -= 0.01
     with pytest.raises(ValueError, match="not positive"):
         integrate(bad, CONSTANT, IntegratorConfig(dt=0.01, t_end=0.0))
+
+
+def test_coherent_checkpoints_diagonalize_blocks_only(eigvalsh_calls):
+    # offsets {0, 3, 6} have gcd 3, so each checkpoint splits the state by
+    # level mod 3, and the levels the run has not reached are left out
+    dim = 200
+    rho0 = _pure_state({0: 1.0, 3: 1.0j, 6: -1.0}, dim)
+    traj = integrate(rho0, CONSTANT, IntegratorConfig(dt=2.5e-4, t_end=30 * 2.5e-4))
+    assert len(eigvalsh_calls) > 1
+    assert all(shape[0] < dim for shape in eigvalsh_calls)
+    dense = np.linalg.eigvalsh(traj.final_state).min()
+    assert abs(traj.min_eigenvalues[-1] - dense) <= 1e-14
+
+
+def test_coherent_checkpoint_leaves_out_negligible_tail(eigvalsh_calls):
+    # offsets {0, 1} have gcd 1, so the state is one block; after 30 steps
+    # 126 levels are nonzero, but all beyond the first ~24 hold entries
+    # below 1e-30, which the checkpoint leaves out
+    dim = 200
+    rho0 = _pure_state({4: 1.0, 5: 1.0j}, dim)
+    traj = integrate(rho0, CONSTANT, IntegratorConfig(dt=2.5e-4, t_end=30 * 2.5e-4))
+    assert np.count_nonzero(np.any(traj.final_state != 0, axis=0)) > 100
+    assert eigvalsh_calls[0] == (2, 2)
+    assert all(shape[0] < 50 for shape in eigvalsh_calls[1:])
+    dense = np.linalg.eigvalsh(traj.final_state).min()
+    assert abs(traj.min_eigenvalues[-1] - dense) <= 1e-14
