@@ -32,21 +32,16 @@ class CheckResult:
         return f"[{tag}] {self.name}: measured={self.measured:.3e} bound={self.bound:.3e}"
 
 
-def _balanced_orderings():
-    seen = set()
-    for perm in permutations((LadderOp.RAISE, LadderOp.RAISE,
-                              LadderOp.LOWER, LadderOp.LOWER)):
-        seen.add(perm)
-    return sorted(seen, key=lambda p: [op.value for op in p])
-
-
 def wick_suite() -> list[CheckResult]:
     """Three-pairing factorization vs the brute-force trace at dim 200, all
     balanced orderings of two raising and two lowering labels."""
     dim, results = 200, []
+    balanced = sorted(set(permutations((LadderOp.RAISE, LadderOp.RAISE,
+                                        LadderOp.LOWER, LadderOp.LOWER))),
+                      key=lambda p: [op.value for op in p])
     for n_bar in (0.5, 1.0, 3.0):
         worst = 0.0
-        for ops in _balanced_orderings():
+        for ops in balanced:
             wick = wick_four_point(ops, n_bar)
             brute = brute_force_four_point(ops, n_bar, dim)
             worst = max(worst, abs(wick - brute) / abs(brute))

@@ -41,9 +41,14 @@ it to the shifted views :func:`_shifted` makes of a flat, zero-bordered
 state.  The generator is g_down D + g_up U for two fixed three-tap D and
 U.  Under CONSTANT and SCALED one RK4 step is a degree-4 polynomial in
 dt A, one nine-tap operator; each FEEDBACK stage builds its three taps
-from the rates it reads off its own state.  The README gives the step's
-measured stability limit; a step beyond it blows up, and the trace and
-positivity checkpoints raise IntegrationError.
+from the rates of its own state's mean, which follows from scalars, as
+levels.(A x) = -g_down n + g_up (n + trace - dim x_top) on the truncated
+chain (the last term is the wall).  Both propagators share one call shape,
+``advance(n0, n1)``, which runs steps n0 + 1 .. n1, and a run calls it once
+per interval between its events: the recorded steps, every 100th step and
+the last, where it samples and checkpoints.  The README gives the step's
+measured stability limit; a step beyond it blows up, and the next
+checkpoint raises IntegrationError, naming the blow-up.
 """
 
 from __future__ import annotations
@@ -414,43 +419,61 @@ _BUILD_ROWS = 2048
 
 
 def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
-    """RK4 step ``n -> x(n dt)`` whose stage rates read the stage state,
-    starting from x0.  The state and the stage state are the buffers of
-    :func:`_shifted`; a stage is one dot of its rates with D and U and one
-    :func:`_banded` product.
+    """RK4 steps whose stage rates read the stage state, starting from x0;
+    ``advance(n0, n1)`` runs steps n0 + 1 .. n1 and returns the state.
+    The state and the stage state are the buffers of :func:`_shifted`.
+    Stage s builds the taps of w_s (g_down D + g_up U) from its rates at
+    t + c_s for the mean n_s of its input; w_s is the next stage's c (dt/6
+    for the last), so a stage state is one add and the update one dot.
+    Only the first mean and the trace are read off the state: the next
+    stage's mean is n + w_s levels.(A x_s), by the module docstring's
+    identity with its wall term dim x_s[0, dim - 1].
     """
     nb, dim = x0.shape
-    taps, levels = band.taps.reshape(2, -1), band.levels
+    taps = band.taps.reshape(2, -1)
     op = np.empty((3, nb, dim))
     op_flat = op.reshape(-1)
     prod = np.empty(op.shape, dtype=x0.dtype)
     slopes = np.empty((4, nb, dim), dtype=x0.dtype)
-    weights = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+    weights = np.array([1.0, 2.0, 1.0, 3.0]) / 3.0
+    moments = np.array([band.levels, np.ones(dim)])
+    stage_rates = np.empty(2)   # w_s (g_down, g_up), filled in place: no array per stage
     (state, stage), (state_taps, stage_taps) = _shifted(x0, 3)
-    # stage s reads its rates at t + c_s off the state (s = 0) or the stage state
-    inputs = [(state[0].real, state_taps)] + 3 * [(stage[0].real, stage_taps)]
-    stages = list(zip((0.0, 0.5 * dt, 0.5 * dt, dt), slopes, inputs))
+    state_row = state[0].real
     slopes_flat = slopes.reshape(4, -1).view(float)
     stage_flat = stage.reshape(-1).view(float)
+    # (c_s, w_s, the views and k = 0 row of the stage's input, its slope)
+    stages = list(zip((0.0, 0.5 * dt, 0.5 * dt, dt), (0.5 * dt, 0.5 * dt, dt, dt / 6.0),
+                      [state_taps] + 3 * [stage_taps],
+                      [state_row] + 3 * [stage[0].real], slopes))
 
-    def step(n):
-        t = (n - 1) * dt
-        for c, k, (row0, x_taps) in stages:
-            if c:
-                np.multiply(prev, c, out=stage)
-                np.add(stage, state, out=stage)
-            np.dot(model.rates(t + c, float(levels @ row0)), taps, out=op_flat)
-            prev = _banded(op, x_taps, prod, k)
-        np.dot(weights, slopes_flat, out=stage_flat)
-        np.add(state, stage, out=state)
+    def advance(n0, n1):
+        dot, add, rates = np.dot, np.add, model.rates
+        multiply, add_reduce = np.multiply, np.add.reduce
+        for n in range(n0 + 1, n1 + 1):
+            t = (n - 1) * dt
+            n_bar, trace = dot(moments, state_row).tolist()
+            n_s = n_bar
+            for c, w, x_taps, row, k in stages:
+                if c:
+                    add(state, prev, out=stage)
+                g_down, g_up = rates(t + c, n_s)
+                stage_rates[0], stage_rates[1] = w * g_down, w * g_up
+                dot(stage_rates, taps, out=op_flat)
+                multiply(op, x_taps, out=prod)
+                prev = add_reduce(prod, axis=0, out=k)
+                n_s = n_bar + w * (g_up * (n_s + trace - dim * row.item(-1)) - g_down * n_s)
+            dot(weights, slopes_flat, out=stage_flat)
+            add(state, stage, out=state)
         return state
 
-    return step
+    return advance
 
 
 def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
                      dt: float, n_steps: int):
-    """RK4 step ``n -> x(n dt)`` for a generator f(t) A, starting from x0.
+    """RK4 steps for a generator f(t) A, starting from x0; ``advance(n0, n1)``
+    runs steps n0 + 1 .. n1 and returns the state.
 
     The four stages compose to x <- sum_j c_j (dt A)^j x, with f1, f2, f3
     the scale at t, t + dt/2 and t + dt:
@@ -496,14 +519,17 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     products = [[(op[:, r], views[s][:, r], prod[:, :r.stop - r.start], states[1 - s][r])
                  for r in blocks] for s in (0, 1)]
 
-    def step(n):
-        if B is not None:
-            np.dot(coeffs[n - 1], B, out=op_flat)
-        for args in products[(n - 1) % 2]:
-            _banded(*args)
-        return states[n % 2]
+    def advance(n0, n1):
+        dot, multiply, add_reduce = np.dot, np.multiply, np.add.reduce
+        for n in range(n0 + 1, n1 + 1):
+            if B is not None:
+                dot(coeffs[n - 1], B, out=op_flat)
+            for op_r, x_r, prod_r, out_r in products[(n - 1) % 2]:
+                multiply(op_r, x_r, out=prod_r)
+                add_reduce(prod_r, axis=0, out=out_r)
+        return states[n1 % 2]
 
-    return step
+    return advance
 
 
 def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig,
@@ -511,24 +537,28 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
     """Fixed-step RK4 on the stored diagonals ``x0``, shared by
     :func:`integrate` and the population ladder; returns the trajectory
     and the final diagonals.  A linear law steps by
-    :func:`_polynomial_step`, FEEDBACK by :func:`_staged_step`.  A sample
-    keeps the populations and the purity (each k > 0 diagonal counted
-    twice, for its k < 0 mirror); the mean, trace and rate flags of all
-    samples are evaluated on arrays after the loop.  A checkpoint's
-    minimum eigenvalue is the minimum population for a diagonal state,
-    else :func:`_min_eigenvalue`'s.  If some population is at most
-    ``_NEGLIGIBLE`` in modulus, it leaves out every level whose stored
-    entries all are: the tail, down to subnormal numbers, beyond the levels
-    a short run has reached, which would otherwise set the cost.  Weyl's
-    inequality bounds the change to the minimum by sqrt(2) dim
-    ``_NEGLIGIBLE``, far below ``eigvalsh``'s own rounding.  ``min_eig0``,
-    if given, is the minimum at t = 0.
+    :func:`_polynomial_step`, FEEDBACK by :func:`_staged_step`, in one
+    ``advance`` call per interval between events: the recorded steps,
+    every ``_CHECK_EVERY``-th step and the last.  A sample keeps the
+    populations and the purity (each k > 0 diagonal counted twice, for its
+    k < 0 mirror); the mean, trace and rate flags of all samples are
+    evaluated on arrays after the loop.  A checkpoint first calls a state
+    with an entry beyond 2 in modulus (or not finite) blown up, since no
+    state inside the budget has one.  Its minimum eigenvalue is then the
+    minimum population for a diagonal state, else :func:`_min_eigenvalue`'s.
+    If some population is at most ``_NEGLIGIBLE`` in modulus, it leaves out
+    every level whose stored entries all are: the tail, down to subnormal
+    numbers, beyond the levels a short run has reached, which would
+    otherwise set the cost.  Weyl's inequality bounds the change to the
+    minimum by sqrt(2) dim ``_NEGLIGIBLE``, far below ``eigvalsh``'s own
+    rounding.  ``min_eig0``, if given, is the minimum at t = 0.
     """
     x = x0
     dt, n_steps = cfg.dt, cfg.n_steps
     advance = (_staged_step(band, x0, model, dt) if _rate_scale(model, 0.0) is None
                else _polynomial_step(band, x0, model, dt, n_steps))
     recorded = cfg.recorded_steps.tolist()   # Python ints compare fastest
+    events = sorted({*recorded, *range(0, n_steps, _CHECK_EVERY), n_steps})
     pops, purities, check_times, min_eigs = [], [], [], []
     # the stored offsets never change, so neither do the blocks' residues
     g = int(np.gcd.reduce(band.offsets))
@@ -536,8 +566,9 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
     def checkpoint(step, min_eig):
         t = step * dt
         tr = float(x[0].real.sum())
-        if not np.all(np.isfinite(x)):
-            raise IntegrationError("state is non-finite (unstable step size?)",
+        # an entry of a state inside the budget is at most 1 + dim 1e-8 in modulus
+        if not np.abs(x).max() <= 2.0:
+            raise IntegrationError("state has blown up (unstable step size?)",
                                    t, tr, float("nan"))
         if min_eig is None:
             # a level with a population beyond _NEGLIGIBLE has an entry beyond it
@@ -555,9 +586,9 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
     # next sample, which then runs the checkpoint; that raises, because a
     # state inside the budget has purity <= 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps + 1):
+        for n0, step in zip([0] + events, events):
             if step:
-                x = advance(step)
+                x = advance(n0, step)
             if step == recorded[len(pops)]:
                 p = x[0].real
                 pops.append(p.copy())
@@ -592,8 +623,9 @@ def integrate(rho0: np.ndarray, model: RateModel, cfg: IntegratorConfig) -> Traj
     diagonal rho0 costs O(dim) per step.  Every 100 steps, at the last
     step and at any sample whose purity is not finite, the trace and the
     minimum eigenvalue are checked against the tolerance budget; a
-    violation (including a blow-up to non-finite values) raises
-    :class:`IntegrationError` with the offending time and diagnostics.
+    violation, or a state blown up beyond any state inside the budget,
+    raises :class:`IntegrationError` with the offending time and
+    diagnostics.
     Observables are recorded every ``cfg.record_every`` steps.
     """
     offsets, min_eig = check_density_matrix(rho0)

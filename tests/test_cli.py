@@ -195,7 +195,7 @@ def test_simulate_unstable_step_exits_3(capsys):
                            "--gamma", "1", "--dt", "0.01", "--t-end", "3",
                            "--dim", "64")
     assert code == 3
-    assert "integration error" in err
+    assert "integration error: state has blown up (unstable step size?) at t=1" in err
 
 
 @pytest.mark.parametrize("law", ["modified", "ladder", "lindblad"])

@@ -10,7 +10,7 @@ from scipy.sparse import diags
 
 from qcooling import (IntegrationError, IntegratorConfig, RateLaw, RateModel,
                       check_density_matrix, default_dim, evolve_populations, integrate,
-                      lindblad_rhs, lowering_operator, mean_occupation,
+                      lindblad, lindblad_rhs, lowering_operator, mean_occupation,
                       number_state, thermal_state)
 
 GAMMA, N_RES = 1.0, 2.0
@@ -454,12 +454,14 @@ def test_truncation_bias_at_dim_40_is_real():
 def test_unstable_step_size_aborts_with_diagnostics(model, t_max):
     # dim * rates * dt far beyond the explicit stability limit: the run
     # stops at the t = 1 checkpoint, or sooner at the first sample whose
-    # purity overflows (t = 0.93 under SCALED), with no numpy warning
+    # purity overflows (t = 0.93 under SCALED), with no numpy warning; the
+    # error names the blow-up, not the trace its cancellations leave
     cfg = IntegratorConfig(dt=0.01, t_end=3.0)
     with warnings.catch_warnings(), pytest.raises(IntegrationError) as excinfo:
         warnings.simplefilter("error")
         integrate(number_state(8, 64), model, cfg)
     assert 0 < excinfo.value.t <= t_max
+    assert str(excinfo.value).startswith("state has blown up (unstable step size?)")
 
 
 def _staged_rk4_on_explicit_ladder(p, model, dt, steps):
@@ -503,6 +505,47 @@ def test_feedback_ladder_at_dim_800_matches_staged_rk4_on_explicit_ladder():
     p = _staged_rk4_on_explicit_ladder(p0, FEEDBACK, dt, steps)
     assert np.abs(traj.populations[-1] - p).max() < 1e-12
     assert traj.n_bar[-1] == pytest.approx(np.arange(dim) @ p, abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 60), seed=st.integers(0, 2**32 - 1), complex_state=st.booleans(),
+       g_down=st.floats(-5.0, 5.0), g_up=st.floats(-5.0, 5.0))
+def test_mean_slope_follows_from_the_mean_trace_and_top_level(dim, seed, complex_state,
+                                                              g_down, g_up):
+    # levels.(D x) = -n and levels.(U x) = n + trace - dim x_top on the
+    # truncated chain, where a+ annihilates the top level; the FEEDBACK step
+    # reads each stage's mean off these scalars
+    rng = np.random.default_rng(seed)
+    offsets = rng.choice(np.arange(1, dim), size=rng.integers(0, min(3, dim - 1) + 1),
+                         replace=False)
+    band = lindblad._Band(dim, np.append(0, np.sort(offsets)))
+    x = rng.normal(size=band.mask.shape)
+    if complex_state:
+        x = x + 1j * rng.normal(size=x.shape)
+    x[~band.mask] = 0.0
+    (_, out), (views, _) = lindblad._shifted(x, 3)
+    prod = np.empty((3, *x.shape), dtype=x.dtype)
+    ax = lindblad._banded(band.operator(g_down, g_up), views, prod, out)
+    n_bar, trace = band.levels @ x[0], x[0].sum()
+    expect = -g_down * n_bar + g_up * (n_bar + trace - dim * x[0, -1])
+    scale = dim * dim * (abs(g_down) + abs(g_up)) * np.abs(x[0]).sum()
+    assert abs(band.levels @ ax[0] - expect) <= 1e-13 * scale
+
+
+@INTEGRATORS
+@pytest.mark.parametrize("n_bar,dim", [(5.0, 12), (3.0, 6)])
+def test_feedback_with_mass_on_the_wall_matches_staged_rk4_on_explicit_ladder(
+        run, n_bar, dim):
+    # a thermal start with over 2% of its mass on the top level: a stage
+    # mean that left out the wall term dim x_top would read the wrong rates
+    x = n_bar / (1.0 + n_bar)
+    p0 = x ** np.arange(dim)
+    p0 /= p0.sum()
+    assert p0[-1] >= 0.02
+    dt, steps = 1e-3, 500
+    traj = run(p0, FEEDBACK, IntegratorConfig(dt=dt, t_end=steps * dt, record_every=steps))
+    p = _staged_rk4_on_explicit_ladder(p0, FEEDBACK, dt, steps)
+    assert np.abs(traj.populations[-1] - p).max() < 1e-12
 
 
 def test_negative_rate_flagged_not_clamped():
@@ -674,3 +717,43 @@ def test_coherent_checkpoint_leaves_out_negligible_tail(eigvalsh_calls):
     assert all(shape[0] < 50 for shape in eigvalsh_calls[1:])
     dense = np.linalg.eigvalsh(traj.final_state).min()
     assert abs(traj.min_eigenvalues[-1] - dense) <= 1e-14
+
+
+@pytest.fixture
+def advance_calls(monkeypatch):
+    """The (n0, n1) of every call to the propagator a run steps with."""
+    calls = []
+    for name in ("_staged_step", "_polynomial_step"):
+        def spy(*args, make=getattr(lindblad, name)):
+            advance = make(*args)
+
+            def counted(n0, n1):
+                calls.append((n0, n1))
+                return advance(n0, n1)
+            return counted
+        monkeypatch.setattr(lindblad, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("model", [CONSTANT, SCALED, FEEDBACK],
+                         ids=["constant", "scaled", "feedback"])
+def test_sampling_does_not_perturb_stepping(model, advance_calls):
+    # one propagator call runs each interval between samples and checkpoints;
+    # where the intervals fall must change no bit, in particular not which
+    # step's rate scale SCALED reads at an interval's edges
+    rho0 = _pure_state({2: 1.0, 5: 1.0j}, 24)
+    dt, steps = 1e-3, 257
+    runs = {}
+    for every in (1, 7, 30):
+        advance_calls.clear()
+        runs[every] = integrate(rho0, model, IntegratorConfig(dt=dt, t_end=steps * dt,
+                                                              record_every=every))
+        events = sorted({*range(0, steps, every), *range(0, steps, 100), steps})
+        assert advance_calls == list(zip(events, events[1:]))
+    full = runs[1]
+    for every, traj in runs.items():
+        recorded = np.append(np.arange(0, steps, every), steps)
+        assert np.array_equal(traj.populations, full.populations[recorded])
+        assert np.array_equal(traj.purity, full.purity[recorded])
+        assert np.array_equal(traj.min_eigenvalues, full.min_eigenvalues)
+        assert np.array_equal(traj.final_state, full.final_state)
