@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qcooling import RateLaw, checks, ladder, lindblad
 from qcooling.cli import main
 from qcooling.laws import CoolingParams, LawKind, evaluate_law
 
@@ -249,6 +250,42 @@ def test_verify_suites_pass(capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite)
         assert code == 0, f"suite {suite} failed:\n{out}"
         assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_ladder_equiv_suite_runs_one_integration_per_law(monkeypatch):
+    runs = []
+
+    def spy(evolve):
+        def counted(*args, **kwargs):
+            runs.append(args[2].law)
+            return evolve(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(lindblad, "_evolve", spy(lindblad._evolve))
+    monkeypatch.setattr(ladder, "_evolve", spy(ladder._evolve))
+    assert all(r.passed for r in checks.ladder_equivalence_suite())
+    assert runs == [RateLaw.CONSTANT, RateLaw.SCALED, RateLaw.FEEDBACK]
+
+
+def _shifted_populations(run):
+    def faulty(*args):
+        out = run(*args)
+        traj = out[0] if isinstance(out, tuple) else out
+        traj.populations[:, 0] += 1e-3
+        return out
+    return faulty
+
+
+@pytest.mark.parametrize("sites", [[(checks, "integrate")],
+                                   [(lindblad, "_evolve"), (ladder, "_evolve")]],
+                         ids=["integrate", "shared RK4 core"])
+def test_ladder_equiv_suite_catches_a_population_fault(monkeypatch, sites):
+    # a fault in the RK4 core shared by the ladder and the matrix path is
+    # one that a comparison of the two paths cannot see
+    for module, name in sites:
+        monkeypatch.setattr(module, name, _shifted_populations(getattr(module, name)))
+    lines = [r.line() for r in checks.run_suites(["ladder-equiv"])]
+    assert len(lines) == 3 and all(line.startswith("[FAIL]") for line in lines)
 
 
 def test_csv_deterministic(tmp_path, capsys):
