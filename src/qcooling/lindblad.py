@@ -59,6 +59,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -264,29 +265,32 @@ def mean_occupation(rho: np.ndarray) -> float:
     return float(np.real(np.arange(rho.shape[0]) @ rho.diagonal()))
 
 
-def _min_eigenvalue(rho: np.ndarray, g: int, entries=None) -> float:
-    """Minimum eigenvalue of the Hermitian rho, as ``eigvalsh`` of all of
-    rho finds it up to rounding, from blocks with the same eigenvalues
-    (Golub & Van Loan, section 8.1).  Every nonzero entry lies on a
-    diagonal at a multiple of g (0: rho is diagonal), so the levels of
-    each residue mod g form a block.  A level in no row or column of
-    ``entries``, the (rows, cols) of rho's kept entries (None: every level
-    is in one), counts as a zero row and column: an eigenvalue of 0.
+def _min_eigenvalue(dim: int, g: int, rows, cols, values, negligible: float = 0.0) -> float:
+    """Minimum eigenvalue of the dim x dim Hermitian matrix whose lower
+    triangle holds ``values`` at (rows, cols), rows >= cols, and whose other
+    entries are zero, as ``eigvalsh`` of all of it finds it up to rounding,
+    from blocks with the same eigenvalues (Golub & Van Loan, section 8.1).
+    A level with no entry beyond ``negligible`` in modulus is left out, as
+    a zero row and column: an eigenvalue of 0.  Every entry lies on a
+    diagonal at a multiple of g >= 1, so the remaining levels of each
+    residue mod g form a block.  The blocks are gathered from the entries
+    alone, along the diagonal of one matrix of the remaining levels stably
+    sorted by residue: each keeps the level order, so ``eigvalsh`` reads
+    the lower triangle that the whole matrix has there.
     """
-    if g == 0:
-        return float(rho.diagonal().real.min())
-    dim = rho.shape[0]
-    levels = (np.arange(dim) if entries is None
-              else np.flatnonzero(np.bincount(np.ravel(entries), minlength=dim)))
-    if g == 1 and len(levels) == dim:
-        return float(np.linalg.eigvalsh(rho).min())
-    blocks = [levels]
-    if g > 1:
-        # stable: each block keeps rho's level order, so eigvalsh reads rho's lower triangle
-        residues = levels % g
-        order = np.argsort(residues, kind="stable")
-        blocks = np.split(levels[order], np.flatnonzero(np.diff(residues[order])) + 1)
-    return float(min([np.linalg.eigvalsh(rho.take(b, 0).take(b, 1)).min() for b in blocks]
+    big = np.abs(values) > negligible
+    live = np.bincount(np.append(rows[big], cols[big]), minlength=dim) > 0
+    keep = live[rows] & live[cols]
+    rows, cols, values, levels = rows[keep], cols[keep], values[keep], np.flatnonzero(live)
+    residues = levels % g
+    order = np.argsort(residues, kind="stable")
+    at = np.empty(dim, dtype=np.intp)
+    at[levels[order]] = np.arange(len(levels))
+    m = np.zeros((len(levels),) * 2, dtype=values.dtype)
+    m[at[cols], at[rows]] = values.conj()
+    m[at[rows], at[cols]] = values
+    ends = [*np.flatnonzero(np.diff(residues[order])) + 1, len(levels)]
+    return float(min([np.linalg.eigvalsh(m[a:b, a:b]).min() for a, b in zip([0] + ends, ends)]
                      + [0.0] * (len(levels) < dim)))
 
 
@@ -298,12 +302,19 @@ def check_density_matrix(rho: np.ndarray):
     among them), and its minimum eigenvalue, computed block by block
     (:func:`_min_eigenvalue`; a diagonal rho needs no ``eigvalsh``).
     Hermiticity is checked over the nonzero entries only: a zero entry
-    with a zero mirror adds nothing.
+    with a zero mirror adds nothing.  The nonzero entries of a diagonal
+    rho, whose count is that of its nonzero populations, are read off its
+    diagonal, not found by an index scan of all dim^2 entries; a
+    population's asymmetry is twice its imaginary part.
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    rows, cols = np.nonzero(rho != 0)
-    herm = np.abs(rho[rows, cols] - rho[cols, rows].conj()).max(initial=0.0)
+    nonzero = rho != 0
+    populated = np.flatnonzero(nonzero.diagonal())
+    rows, cols = ((populated, populated) if np.count_nonzero(nonzero) == len(populated)
+                  else np.nonzero(nonzero))
+    values = rho[rows, cols]
+    herm = np.abs(values - rho[cols, rows].conj()).max(initial=0.0)
     if not herm <= _HERM_TOL:
         raise ValueError(f"not Hermitian: max asymmetry {herm:g} > {_HERM_TOL:g}")
     tr = float(np.real(np.trace(rho)))
@@ -311,7 +322,9 @@ def check_density_matrix(rho: np.ndarray):
         raise ValueError(f"trace {tr!r} outside [{_TRACE_MIN!r}, {_TRACE_MAX!r}]")
     # a unit trace puts 0 among the offsets (np.unique would import numpy.ma)
     offsets = np.flatnonzero(np.bincount(np.abs(rows - cols)))
-    min_eig = _min_eigenvalue(rho, int(np.gcd.reduce(offsets)), (rows, cols))
+    g, lower = int(np.gcd.reduce(offsets)), rows >= cols
+    min_eig = float(rho.diagonal().real.min()) if g == 0 else _min_eigenvalue(
+        len(rho), g, rows[lower], cols[lower], values[lower])
     if not min_eig >= -_POS_TOL:
         raise ValueError(f"not positive: min eigenvalue {min_eig:g} < -{_POS_TOL:g}")
     return offsets, min_eig
@@ -383,8 +396,8 @@ def _shifted(x0: np.ndarray, width: int):
     bufs = np.zeros((2, nb * dim + 2 * h), dtype=x0.dtype)
     states = bufs[:, h:h + nb * dim].reshape(2, nb, dim)
     states[0] = x0
-    return states, [np.lib.stride_tricks.as_strided(
-        buf, (width, nb, dim), (step, dim * step, step), writeable=False) for buf in bufs]
+    return states, [np.ndarray((width, nb, dim), x0.dtype, memoryview(buf).toreadonly(), 0,
+                               (step, dim * step, step)) for buf in bufs]
 
 
 def _banded(op: np.ndarray, views: np.ndarray, prod: np.ndarray, out: np.ndarray):
@@ -412,9 +425,11 @@ def lindblad_rhs(rho: np.ndarray, t: float, model: RateModel) -> np.ndarray:
     return herm + 1j * skew
 
 
-# rows that _polynomial_step builds and applies at once: a Fock or few-level
-# state is one block, while a fully coherent one needs 45 * _BUILD_ROWS floats
-# of build temporaries and 9 * _BUILD_ROWS products, not copies of its operator
+# stored entries (rows x dim) whose step operator _polynomial_step builds and
+# applies at once, and the most a block of SCALED step operators spans (steps
+# x rows x dim): a Fock or few-level state is one block of entries, while a
+# fully coherent one needs 45 * _BUILD_ROWS floats of build temporaries and
+# 9 * _BUILD_ROWS products, not copies of its operator
 _BUILD_ROWS = 2048
 
 
@@ -480,10 +495,16 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     c = (1, (f1 + 4 f2 + f3)/6, f2 (f1 + f2 + f3)/6, f2^2 (f1 + f3)/12,
     f1 f2^2 f3/24).  P[j] holds the nine taps of (dt A)^j, built as
     dt A P[j - 1] for ``_BUILD_ROWS // dim`` stored diagonals at a time,
-    the blocks in which the operator is also applied.  CONSTANT keeps only
-    sum_j c_j P[j]; SCALED, whose c_j change every step, keeps the five
-    powers and sums them each step.  The state alternates between the two
-    buffers of :func:`_shifted`.
+    the blocks of rows in which the operator is also applied.  CONSTANT
+    keeps only sum_j c_j P[j].  SCALED, whose c_j change every step, keeps
+    the five powers B and builds the operators of ``span`` consecutive
+    steps at once, as one matrix product of their c with B, so that a step
+    is one product and one sum over the taps, as under CONSTANT.  ``span``
+    is ``_BUILD_ROWS // (rows dim)`` (at least 1), so a state of more than
+    one block of rows builds one operator per step.  The blocks of steps
+    start at the multiples of ``span``, whatever n0 is, so the intervals a
+    run is advanced in change no bit.  The state alternates between the
+    two buffers of :func:`_shifted`.
     """
     nb, dim = x0.shape
     g_down, g_up = (dt * g for g in model.rates(0.0, 0.0))
@@ -492,8 +513,9 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     coeffs = np.array([np.ones_like(f1), (f1 + 4.0 * f2 + f3) / 6.0,
                        f2 * (f1 + f2 + f3) / 6.0, f2 * f2 * (f1 + f3) / 12.0,
                        f1 * f2 * f2 * f3 / 24.0]).T
-    op = np.empty((9, nb, dim))
     B = None if coeffs.ndim == 1 else np.empty((5, 9, nb, dim))
+    span = max(1, min(n_steps, _BUILD_ROWS // (nb * dim)))
+    ops = np.empty((1 if B is None else span, 9, nb, dim))
     # (dt A)[i, i], [i, i + 1] and [i, i - 1] of every chain
     a = band.operator(g_down, g_up)[:, None]
     diag, up, down = a[1], a[2, ..., :-1], a[0, ..., 1:]
@@ -507,24 +529,38 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
             P[j, 1:, :, :-1] += up[:, chains] * P[j - 1, :-1, :, 1:]
             P[j, :-1, :, 1:] += down[:, chains] * P[j - 1, 1:, :, :-1]
         if B is None:
-            op[:, chains] = np.tensordot(coeffs, P, 1)
+            ops[0][:, chains] = np.dot(coeffs, P.reshape(5, -1)).reshape(9, -1, dim)
         else:
             B[:, :, chains] = P
     if B is not None:
-        B, op_flat = B.reshape(5, -1), op.reshape(-1)
+        B, ops_flat = B.reshape(5, -1), ops.reshape(span, -1)
 
     states, views = _shifted(x0, 9)
     prod = np.empty((9, min(size, nb), dim), dtype=x0.dtype)
-    # step n reads the state in buffer (n - 1) % 2 and writes the other one
-    products = [[(op[:, r], views[s][:, r], prod[:, :r.stop - r.start], states[1 - s][r])
-                 for r in blocks] for s in (0, 1)]
+    # the input views, product and output of each block of rows, for a step
+    # that reads the state in buffer 0 and for one that reads buffer 1
+    rows = [[(views[s][:, r], prod[:, :r.stop - r.start], states[1 - s][r]) for r in blocks]
+            for s in (0, 1)]
+    nr = len(blocks)
+    parity = (rows[0] + rows[1]) * (span // 2 + 1)
+    # step lo + k + 1 of a block of steps applies the k-th run of nr views in
+    # op_seq, one per block of rows
+    op_seq = list(chain.from_iterable(zip(*[ops[:, :, r] for r in blocks])))
+    op_seq *= span if B is None else 1
+    built = None
 
     def advance(n0, n1):
-        dot, multiply, add_reduce = np.dot, np.multiply, np.add.reduce
-        for n in range(n0 + 1, n1 + 1):
-            if B is not None:
-                dot(coeffs[n - 1], B, out=op_flat)
-            for op_r, x_r, prod_r, out_r in products[(n - 1) % 2]:
+        nonlocal built
+        multiply, add_reduce = np.multiply, np.add.reduce
+        for lo in range(n0 - n0 % span, n1, span):
+            if B is not None and lo != built:
+                c = coeffs[lo:lo + span]
+                np.dot(c, B, out=ops_flat[:len(c)])
+                built = lo
+            k = max(n0 - lo, 0)
+            # step n + 1 reads the state in buffer n % 2 and writes the other one
+            for op_r, (x_r, prod_r, out_r) in zip(op_seq[k * nr:(n1 - lo) * nr],
+                                                  parity[(lo + k) % 2 * nr:]):
                 multiply(op_r, x_r, out=prod_r)
                 add_reduce(prod_r, axis=0, out=out_r)
         return states[n1 % 2]
@@ -545,9 +581,10 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
     evaluated on arrays after the loop.  A checkpoint first calls a state
     with an entry beyond 2 in modulus (or not finite) blown up, since no
     state inside the budget has one.  Its minimum eigenvalue is then the
-    minimum population for a diagonal state, else :func:`_min_eigenvalue`'s.
-    If some population is at most ``_NEGLIGIBLE`` in modulus, it leaves out
-    every level whose stored entries all are: the tail, down to subnormal
+    minimum population for a diagonal state, else :func:`_min_eigenvalue`'s
+    of the stored entries, with no dense copy of the state.  It leaves out
+    every level whose stored entries are all at most ``_NEGLIGIBLE`` in
+    modulus: the tail, down to subnormal
     numbers, beyond the levels a short run has reached, which would
     otherwise set the cost.  Weyl's inequality bounds the change to the
     minimum by sqrt(2) dim ``_NEGLIGIBLE``, far below ``eigvalsh``'s own
@@ -571,10 +608,8 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
             raise IntegrationError("state has blown up (unstable step size?)",
                                    t, tr, float("nan"))
         if min_eig is None:
-            # a level with a population beyond _NEGLIGIBLE has an entry beyond it
             min_eig = float(x[0].min()) if g == 0 else _min_eigenvalue(
-                band.dense(x), g, None if np.abs(x[0]).min() > _NEGLIGIBLE
-                else np.array(band.lower)[:, np.abs(x[band.mask]) > _NEGLIGIBLE])
+                band.dim, g, *band.lower, x[band.mask], _NEGLIGIBLE)
         check_times.append(t)
         min_eigs.append(min_eig)
         if not _TRACE_MIN <= tr <= _TRACE_MAX:

@@ -153,6 +153,9 @@ def _diagonal(*pops):
 BUDGET_EDGES = {
     "hermiticity": (lambda e: np.array([[0.5, 0.1 + e], [0.1, 0.5]], dtype=complex),
                     1e-12, "not Hermitian"),
+    # a population with imaginary part e / 2 is asymmetric by e
+    "hermiticity on the diagonal": (lambda e: _diagonal(1.0 + 0.5j * e, 0.0), 1e-12,
+                                    "not Hermitian"),
     "trace low": (lambda e: _diagonal(1.0 - e, 0.0), 1e-6, "trace"),
     "trace high": (lambda e: _diagonal(1.0 + e, 0.0), 1e-9, "trace"),
     "positivity on the diagonal": (lambda e: _diagonal(1.0 + e, -e), 1e-8, "not positive"),
@@ -659,6 +662,24 @@ def test_constant_step_peak_memory_stays_near_one_operator():
     finally:
         tracemalloc.stop()
     assert peak < 4 * dim * dim * 9 * 8
+
+
+def test_scaled_step_peak_memory_stays_near_one_operator_per_step():
+    # SCALED keeps the five powers (45 float64 per stored element) and builds
+    # the operators of a block of steps at once; past the build budget that
+    # block is one operator (9 float64), so the run stays under nine operators
+    # (a block of all four steps reads over 11)
+    dim, dt = 150, 1e-5
+    rho0 = _fully_coherent(dim, 4)
+    cfg = IntegratorConfig(dt=dt, t_end=4 * dt)
+    integrate(rho0, SCALED, cfg)
+    tracemalloc.start()
+    try:
+        integrate(rho0, SCALED, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * dim * dim * 9 * 8
 
 
 def test_feedback_step_peak_memory_stays_near_its_buffers():
