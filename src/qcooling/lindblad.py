@@ -40,8 +40,9 @@ op[d, j, i] multiplying x[j, i + d - width // 2]; :func:`_banded` applies
 it to the shifted views :func:`_shifted` makes of a flat, zero-bordered
 state.  The generator is g_down D + g_up U for two fixed three-tap D and
 U.  Under CONSTANT and SCALED one RK4 step is a degree-4 polynomial in
-dt A, one nine-tap operator; each FEEDBACK stage builds its three taps
-from the rates of its own state's mean, which follows from scalars, as
+dt A, one nine-tap operator; a FEEDBACK stage dots its rates, read off
+its state's mean, with the products of views of its state and the four
+taps of D and U that are not always zero.  That mean follows from scalars, as
 levels.(A x) = -g_down n + g_up (n + trace - dim x_top) on the truncated
 chain (the last term is the wall).  Both propagators share one call shape,
 ``advance(n0, n1)``, which runs steps n0 + 1 .. n1, and a run calls it once
@@ -62,6 +63,7 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 class RateLaw(Enum):
@@ -303,16 +305,18 @@ def check_density_matrix(rho: np.ndarray):
     (:func:`_min_eigenvalue`; a diagonal rho needs no ``eigvalsh``).
     Hermiticity is checked over the nonzero entries only: a zero entry
     with a zero mirror adds nothing.  The nonzero entries of a diagonal
-    rho, whose count is that of its nonzero populations, are read off its
-    diagonal, not found by an index scan of all dim^2 entries; a
-    population's asymmetry is twice its imaginary part.
+    rho, which has none off its diagonal, are read off its diagonal, not
+    found by an index scan of all dim^2 entries; a population's asymmetry
+    is twice its imaginary part.
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    nonzero = rho != 0
-    populated = np.flatnonzero(nonzero.diagonal())
-    rows, cols = ((populated, populated) if np.count_nonzero(nonzero) == len(populated)
-                  else np.nonzero(nonzero))
+    dim = len(rho)
+    # every entry off the diagonal, as rows of dim + 1 flat entries less the last
+    if rho.reshape(-1)[1:].reshape(dim - 1, dim + 1)[:, :dim].any():
+        rows, cols = np.nonzero(rho != 0)
+    else:
+        rows = cols = np.flatnonzero(rho.diagonal())
     values = rho[rows, cols]
     herm = np.abs(values - rho[cols, rows].conj()).max(initial=0.0)
     if not herm <= _HERM_TOL:
@@ -324,7 +328,7 @@ def check_density_matrix(rho: np.ndarray):
     offsets = np.flatnonzero(np.bincount(np.abs(rows - cols)))
     g, lower = int(np.gcd.reduce(offsets)), rows >= cols
     min_eig = float(rho.diagonal().real.min()) if g == 0 else _min_eigenvalue(
-        len(rho), g, rows[lower], cols[lower], values[lower])
+        dim, g, rows[lower], cols[lower], values[lower])
     if not min_eig >= -_POS_TOL:
         raise ValueError(f"not positive: min eigenvalue {min_eig:g} < -{_POS_TOL:g}")
     return offsets, min_eig
@@ -437,46 +441,52 @@ def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
     """RK4 steps whose stage rates read the stage state, starting from x0;
     ``advance(n0, n1)`` runs steps n0 + 1 .. n1 and returns the state.
     The state and the stage state are the buffers of :func:`_shifted`.
-    Stage s builds the taps of w_s (g_down D + g_up U) from its rates at
-    t + c_s for the mean n_s of its input; w_s is the next stage's c (dt/6
-    for the last), so a stage state is one add and the update one dot.
-    Only the first mean and the trace are read off the state: the next
-    stage's mean is n + w_s levels.(A x_s), by the module docstring's
-    identity with its wall term dim x_s[0, dim - 1].
+    Stage s multiplies the four taps that are not always zero, D's
+    diagonal and upper and U's lower and diagonal, with the views
+    x[j, i + b - a] of its input (a = 0 for D, 1 for U), and dots the
+    products with w_s (g_down, g_down, g_up, g_up): its rates at t + c_s for
+    its input's mean n_s, weighed by the next stage's c (dt/6 for the
+    last), so a stage state is one add and the update one dot.  Only the
+    first mean and the trace are read off the state: the next stage's mean
+    is n + w_s levels.(A x_s), by the module docstring's identity with its
+    wall term dim x_s[0, dim - 1].
     """
     nb, dim = x0.shape
-    taps = band.taps.reshape(2, -1)
-    op = np.empty((3, nb, dim))
-    op_flat = op.reshape(-1)
-    prod = np.empty(op.shape, dtype=x0.dtype)
+    # planes 1 .. 4 of D's and U's three taps, as [a, b] for a = 0 (D), 1 (U)
+    taps = band.taps.reshape(6, -1)[1:5].reshape(2, 2, nb, dim)
+    prod = np.empty(taps.shape, dtype=x0.dtype)
+    prod_flat = prod.reshape(4, -1).view(float)
     slopes = np.empty((4, nb, dim), dtype=x0.dtype)
     weights = np.array([1.0, 2.0, 1.0, 3.0]) / 3.0
     moments = np.array([band.levels, np.ones(dim)])
-    stage_rates = np.empty(2)   # w_s (g_down, g_up), filled in place: no array per stage
-    (state, stage), (state_taps, stage_taps) = _shifted(x0, 3)
+    stage_rates = np.empty(4)   # w_s (g_down, g_down, g_up, g_up), filled in place
+    (state, stage), _ = _shifted(x0, 3)
+    # the views of each buffer; [1, 0] of the first entry reads the zero before it
+    views = [as_strided(x, taps.shape, (-x0.itemsize, x0.itemsize, *x.strides), writeable=False)
+             for x in (state, stage)]
     state_row = state[0].real
     slopes_flat = slopes.reshape(4, -1).view(float)
     stage_flat = stage.reshape(-1).view(float)
-    # (c_s, w_s, the views and k = 0 row of the stage's input, its slope)
+    # (c_s, w_s, the views and k = 0 row of the stage's input, the slope the
+    # input adds, the stage's own slope)
     stages = list(zip((0.0, 0.5 * dt, 0.5 * dt, dt), (0.5 * dt, 0.5 * dt, dt, dt / 6.0),
-                      [state_taps] + 3 * [stage_taps],
-                      [state_row] + 3 * [stage[0].real], slopes))
+                      views[:1] + 3 * views[1:], [state_row] + 3 * [stage[0].real],
+                      [None, *slopes[:3]], slopes_flat))
 
     def advance(n0, n1):
-        dot, add, rates = np.dot, np.add, model.rates
-        multiply, add_reduce = np.multiply, np.add.reduce
+        dot, add, multiply, rates = np.dot, np.add, np.multiply, model.rates
         for n in range(n0 + 1, n1 + 1):
             t = (n - 1) * dt
             n_bar, trace = dot(moments, state_row).tolist()
             n_s = n_bar
-            for c, w, x_taps, row, k in stages:
+            for c, w, x_views, row, prev, k in stages:
                 if c:
                     add(state, prev, out=stage)
                 g_down, g_up = rates(t + c, n_s)
-                stage_rates[0], stage_rates[1] = w * g_down, w * g_up
-                dot(stage_rates, taps, out=op_flat)
-                multiply(op, x_taps, out=prod)
-                prev = add_reduce(prod, axis=0, out=k)
+                stage_rates[0] = stage_rates[1] = w * g_down
+                stage_rates[2] = stage_rates[3] = w * g_up
+                multiply(taps, x_views, out=prod)
+                dot(stage_rates, prod_flat, out=k)
                 n_s = n_bar + w * (g_up * (n_s + trace - dim * row.item(-1)) - g_down * n_s)
             dot(weights, slopes_flat, out=stage_flat)
             add(state, stage, out=state)

@@ -148,6 +148,16 @@ def _diagonal(*pops):
     return np.diag(np.array(pops, dtype=complex))
 
 
+def _uniform_with_entry(dim, at):
+    """The uniform diagonal state plus the entry e at ``at``, whose mirror
+    entry stays zero."""
+    def make(e):
+        rho = _diagonal(*[1.0 / dim] * dim)
+        rho[at] = e
+        return rho
+    return make
+
+
 # each bound of the tolerance budget: the state at offset e from it, the
 # bound, and the error just outside it
 BUDGET_EDGES = {
@@ -163,6 +173,11 @@ BUDGET_EDGES = {
     "positivity by eigvalsh": (
         lambda e: np.array([[0.5, 0.5 + e], [0.5 + e, 0.5]], dtype=complex),
         1e-8, "not positive"),
+    # the first and the last entry that the off-diagonal scan of a diagonal
+    # state reads (at dim 2 they are one entry)
+    **{f"hermiticity of one entry at {at} of dim {dim}": (
+        _uniform_with_entry(dim, at), 1e-12, "not Hermitian")
+       for dim in (2, 800) for at in ((1, 0), (dim - 1, dim - 2))},
 }
 
 
@@ -513,6 +528,8 @@ def test_feedback_ladder_at_dim_800_matches_staged_rk4_on_explicit_ladder():
 @settings(max_examples=60, deadline=None)
 @given(dim=st.integers(2, 60), seed=st.integers(0, 2**32 - 1), complex_state=st.booleans(),
        g_down=st.floats(-5.0, 5.0), g_up=st.floats(-5.0, 5.0))
+# subnormal rates: a product rounds by a whole subnormal step
+@example(dim=3, seed=1, complex_state=False, g_down=0.0, g_up=5e-324)
 def test_mean_slope_follows_from_the_mean_trace_and_top_level(dim, seed, complex_state,
                                                               g_down, g_up):
     # levels.(D x) = -n and levels.(U x) = n + trace - dim x_top on the
@@ -531,8 +548,55 @@ def test_mean_slope_follows_from_the_mean_trace_and_top_level(dim, seed, complex
     ax = lindblad._banded(band.operator(g_down, g_up), views, prod, out)
     n_bar, trace = band.levels @ x[0], x[0].sum()
     expect = -g_down * n_bar + g_up * (n_bar + trace - dim * x[0, -1])
-    scale = dim * dim * (abs(g_down) + abs(g_up)) * np.abs(x[0]).sum()
+    rates = max(abs(g_down) + abs(g_up), np.finfo(float).tiny)
+    scale = dim * dim * rates * np.abs(x[0]).sum()
     assert abs(band.levels @ ax[0] - expect) <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 60), seed=st.integers(0, 2**32 - 1), complex_state=st.booleans(),
+       gamma=st.floats(0.1, 3.0), n_res=st.floats(0.0, 60.0), t0=st.floats(0.0, 3.0),
+       top=st.floats(0.0, 1.0))
+# a cold state in a warm bath late in the run: g_up < 0 at every stage
+@example(dim=60, seed=1, complex_state=True, gamma=2.0, n_res=60.0, t0=2.0, top=0.0)
+# half the mass on the top level, where D and U meet the wall
+@example(dim=7, seed=2, complex_state=False, gamma=1.0, n_res=1.0, t0=0.5, top=0.5)
+def test_staged_step_matches_rk4_on_the_banded_operator(dim, seed, complex_state, gamma,
+                                                         n_res, t0, top):
+    # one FEEDBACK step against the four RK4 stages written out with the full
+    # three-tap operator, each stage's rates read off its own state: the
+    # step's product with the four live taps must read the right neighbours
+    # at every row end
+    rng = np.random.default_rng(seed)
+    offsets = rng.choice(np.arange(1, dim), size=rng.integers(0, min(3, dim - 1) + 1),
+                         replace=False)
+    band = lindblad._Band(dim, np.append(0, np.sort(offsets)))
+    x = rng.normal(size=band.mask.shape)
+    if complex_state:
+        x = x + 1j * rng.normal(size=x.shape)
+    populations = rng.random(dim) ** 4
+    x[0] = (1.0 - top) * populations / populations.sum()
+    x[0, -1] += top
+    x[~band.mask] = 0.0
+    model = RateModel(law=RateLaw.FEEDBACK, gamma=gamma, n_res=n_res)
+    # a step of about a tenth of the fastest rate's reciprocal
+    dt = 0.1 / (dim * (1.0 + np.abs(model.rates(t0, band.levels @ x[0].real)).sum()))
+    n0 = round(t0 / dt)
+
+    def slope(x, t):
+        (_, out), (views, _) = lindblad._shifted(x, 3)
+        prod = np.empty((3, *x.shape), dtype=x.dtype)
+        return lindblad._banded(band.operator(*model.rates(t, band.levels @ x[0].real)),
+                                views, prod, out)
+
+    t = n0 * dt
+    k1 = slope(x, t)
+    k2 = slope(x + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = slope(x + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = slope(x + dt * k3, t + dt)
+    expect = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    got = lindblad._staged_step(band, x, model, dt)(n0, n0 + 1)
+    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 @INTEGRATORS
