@@ -128,12 +128,12 @@ def _cmd_simulate(args) -> int:
         x0, x_res = (args.t0, args.tr) if temp_mode else (args.n0, args.nr)
         params = CoolingParams(x0=x0, x_res=x_res, gamma=args.gamma)
         ts = cfg.recorded_steps * args.dt
-        values = evaluate_law(LawKind.from_name(args.law), params, ts)
+        values = evaluate_law(LawKind(args.law), params, ts)
         columns, template = "t,value,valid", "%.9g,%.9g,%d"
         data = ts, values, ts < 1.0 / args.gamma
     else:
         n0, n_res = _occupation_inputs(args)
-        model = RateModel(law=RateLaw.from_name(args.model),
+        model = RateModel(law=RateLaw(args.model),
                           gamma=args.gamma, n_res=n_res)
         fock = abs(n0 - round(n0)) < 1e-9
         dim = args.dim
@@ -162,7 +162,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_halftime(args) -> int:
-    value = half_thermalization_time(LawKind.from_name(args.law), args.gamma)
+    value = half_thermalization_time(LawKind(args.law), args.gamma)
     print(f"{args.law}: t_half = {HALF_TIME_FORMULAS[args.law]} = {_fmt(value)}")
     return 0
 
@@ -176,7 +176,7 @@ def _cmd_cooltime(args) -> int:
         print(f"modified: t = {_fmt(t_modified)}")
         print(f"ratio modified/newton = {_fmt(t_modified / t_newton)}")
     else:
-        t_law = time_to_value(LawKind.from_name(args.law), params, args.target)
+        t_law = time_to_value(LawKind(args.law), params, args.target)
         print(f"{args.law}: t = {_fmt(t_law)}")
     return 0
 

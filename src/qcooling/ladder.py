@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lindblad import _TRACE_MIN, IntegratorConfig, RateModel, Trajectory, _Band, _evolve
+from .lindblad import (_POS_TOL, _TRACE_MAX, _TRACE_MIN, IntegratorConfig, RateModel, Trajectory,
+                       _Band, _evolve)
 
 
 def evolve_populations(p0: np.ndarray, model: RateModel,
@@ -34,9 +35,9 @@ def evolve_populations(p0: np.ndarray, model: RateModel,
     p0 = np.asarray(p0, dtype=float)
     if p0.ndim != 1 or p0.size < 2:
         raise ValueError(f"p0 must be a 1-D vector of >= 2 levels, got shape {p0.shape}")
-    if p0.min() < -1e-12:
-        raise ValueError(f"populations must be >= -1e-12, got min {p0.min():g}")
+    if p0.min() < -_POS_TOL:
+        raise ValueError(f"populations must be >= -{_POS_TOL:g}, got min {p0.min():g}")
     total = p0.sum()
-    if not _TRACE_MIN <= total <= 1.0 + 1e-12:
+    if not _TRACE_MIN <= total <= _TRACE_MAX:
         raise ValueError(f"populations must sum to 1 within budget, got {total!r}")
     return _evolve(_Band(p0.size, [0]), p0[None, :], model, cfg)[0]

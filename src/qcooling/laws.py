@@ -29,14 +29,6 @@ class LawKind(Enum):
     MARKOV = "markov"
     MODIFIED = "modified"
 
-    @classmethod
-    def from_name(cls, name: str) -> "LawKind":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown law {name!r}; expected one of "
-                             f"{[k.value for k in cls]}") from None
-
 
 @dataclass(frozen=True)
 class CoolingParams:

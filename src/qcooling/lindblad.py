@@ -34,15 +34,14 @@ on n_sys(t) is set by the population reaching the highest level.
 thermal state's geometric tail needs more levels (``_thermal_dim``).
 
 Only the diagonals rho[i + k, i] (k >= 0) present at t = 0 are stored,
-one per row of a (rows, dim) array (:class:`_Band`), and each evolves on
-its own.  A banded operator is stored taps-first, (width, rows, dim), with
-op[d, j, i] multiplying x[j, i + d - width // 2]; :func:`_banded` applies
-it to the shifted views :func:`_shifted` makes of a flat, zero-bordered
-state.  The generator is g_down D + g_up U for two fixed three-tap D and
-U.  Under CONSTANT and SCALED one RK4 step is a degree-4 polynomial in
-dt A, one nine-tap operator; a FEEDBACK stage dots its rates, read off
-its state's mean, with the products of views of its state and the four
-taps of D and U that are not always zero.  That mean follows from scalars, as
+one per row of a (rows, dim) array, and each evolves on its own under
+g_down D + g_up U for two fixed tridiagonal chains D and U, which
+:class:`_Band` stores as their four planes that are not always zero.
+Under CONSTANT and SCALED one RK4 step is a degree-4 polynomial in dt A,
+one nine-tap operator, the one operator stored taps-first
+(:func:`_polynomial_step`); a FEEDBACK stage dots its rates, read off its
+state's mean, with the products of the four planes and views of its
+state.  That mean follows from scalars, as
 levels.(A x) = -g_down n + g_up (n + trace - dim x_top) on the truncated
 chain (the last term is the wall).  Both propagators share one call shape,
 ``advance(n0, n1)``, which runs steps n0 + 1 .. n1, and a run calls it once
@@ -70,14 +69,6 @@ class RateLaw(Enum):
     CONSTANT = "constant"
     FEEDBACK = "feedback"
     SCALED = "scaled"
-
-    @classmethod
-    def from_name(cls, name: str) -> "RateLaw":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown rate law {name!r}; expected one of "
-                             f"{[k.value for k in cls]}") from None
 
 
 def _rate_scale(model: RateModel, t):
@@ -348,10 +339,11 @@ class _Band:
 
     with a_i = i + k/2, b_i = (m_{i+k} + m_i)/2 for m the diagonal of the
     truncated a a+ (zero at the top level) and c_i = sqrt((i+k+1)(i+1)).
-    ``taps`` holds D and U, shape (2, 3, rows, dim); they vanish on the
-    padding and at both row ends, so the padding stays zero.  Row 0 is
-    always k = 0, the population ladder; when it is the only row the
-    state is real and diagonal.
+    ``taps`` holds the planes of D (a = 0) and U (a = 1) that are not
+    always zero, shape (2, 2, rows, dim), taps[a, b] multiplying
+    x[j, i + b - a]; they vanish on the padding and at both row ends, so
+    the padding stays zero.  Row 0 is always k = 0, the population ladder;
+    when it is the only row the state is real and diagonal.
     """
 
     def __init__(self, dim: int, offsets):
@@ -363,18 +355,14 @@ class _Band:
         self.mask = inside = top < dim
         m = np.concatenate((np.arange(1.0, dim), np.zeros(dim)))
         self.levels = i.astype(float)
-        self.taps = np.zeros((2, 3, *inside.shape))
-        self.taps[0, 1] = np.where(inside, -(i + 0.5 * k), 0.0)
+        self.taps = np.zeros((2, 2, *inside.shape))
+        self.taps[0, 0] = np.where(inside, -(i + 0.5 * k), 0.0)
         self.taps[1, 1] = np.where(inside, -0.5 * (m[top] + m[i]), 0.0)
         top = top[:, :-1] + 1.0
-        self.taps[0, 2, :, :-1] = np.where(top < dim, np.sqrt(top * (i[:-1] + 1.0)), 0.0)
-        self.taps[1, 0, :, 1:] = self.taps[0, 2, :, :-1]
+        self.taps[0, 1, :, :-1] = np.where(top < dim, np.sqrt(top * (i[:-1] + 1.0)), 0.0)
+        self.taps[1, 0, :, 1:] = self.taps[0, 1, :, :-1]
         rows, cols = np.nonzero(inside)
         self.lower = (cols + self.offsets[rows], cols)
-
-    def operator(self, g_down: float, g_up: float) -> np.ndarray:
-        """The taps of g_down D + g_up U, shape (3, rows, dim)."""
-        return g_down * self.taps[0] + g_up * self.taps[1]
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
         """Stored diagonals of the Hermitian part of rho (real if k = 0 only)."""
@@ -404,29 +392,29 @@ def _shifted(x0: np.ndarray, width: int):
                                (step, dim * step, step)) for buf in bufs]
 
 
-def _banded(op: np.ndarray, views: np.ndarray, prod: np.ndarray, out: np.ndarray):
-    """out[j, i] = sum_d op[d, j, i] x[j, i + d - width // 2] for the views
-    of x from :func:`_shifted`; ``prod`` is scratch of op's shape."""
-    np.multiply(op, views, out=prod)
-    return np.add.reduce(prod, axis=0, out=out)
-
-
 def lindblad_rhs(rho: np.ndarray, t: float, model: RateModel) -> np.ndarray:
-    """Right-hand side of the master equation at time t (rotating frame).
+    """Right-hand side of the master equation at time t (rotating frame),
+    with FEEDBACK's n_sys read off ``rho``: complex for any ``rho``, and
+    traceless, as the truncated generator conserves probability exactly.
+    It is the dissipator's matrix elements, at O(dim^2) cost,
 
-    For the FEEDBACK law, n_sys is read self-consistently from ``rho``.
-    The result is traceless for any state (the truncated generator
-    conserves probability exactly).
+        out[i, j] = -(g_down (i + j) + g_up (m_i + m_j))/2 rho[i, j]
+                    + g_down sqrt((i + 1)(j + 1)) rho[i + 1, j + 1]
+                    + g_up sqrt(i j) rho[i - 1, j - 1],
+
+    for m the diagonal of the truncated a a+ (i + 1, zero at the top
+    level), without the terms that reach outside the basis.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    band = _Band(rho.shape[0], np.arange(rho.shape[0]))
-    op = band.operator(*model.rates(t, mean_occupation(rho)))
-    prod = np.empty(op.shape, dtype=complex)
-    # pack keeps the Hermitian part, and rho = herm(rho) + i herm(-i rho)
-    views = (_shifted(band.pack(part), 3)[1][0] for part in (rho, -1j * rho))
-    herm, skew = (band.dense(_banded(op, x, prod, np.empty_like(prod[0]))) for x in views)
-    return herm + 1j * skew
+    g_down, g_up = model.rates(t, mean_occupation(rho))
+    n = np.arange(float(len(rho)))
+    decay = g_down * n + g_up * np.append(n[1:], 0.0)
+    out = np.multiply(-0.5 * (decay[:, None] + decay), rho, dtype=complex)
+    c = np.sqrt(np.outer(n[1:], n[1:]))
+    out[:-1, :-1] += g_down * c * rho[1:, 1:]   # a rho a+
+    out[1:, 1:] += g_up * c * rho[:-1, :-1]     # a+ rho a
+    return out
 
 
 # stored entries (rows x dim) whose step operator _polynomial_step builds and
@@ -441,19 +429,16 @@ def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
     """RK4 steps whose stage rates read the stage state, starting from x0;
     ``advance(n0, n1)`` runs steps n0 + 1 .. n1 and returns the state.
     The state and the stage state are the buffers of :func:`_shifted`.
-    Stage s multiplies the four taps that are not always zero, D's
-    diagonal and upper and U's lower and diagonal, with the views
-    x[j, i + b - a] of its input (a = 0 for D, 1 for U), and dots the
-    products with w_s (g_down, g_down, g_up, g_up): its rates at t + c_s for
-    its input's mean n_s, weighed by the next stage's c (dt/6 for the
-    last), so a stage state is one add and the update one dot.  Only the
-    first mean and the trace are read off the state: the next stage's mean
-    is n + w_s levels.(A x_s), by the module docstring's identity with its
-    wall term dim x_s[0, dim - 1].
+    Stage s multiplies the four planes of ``band.taps`` with the views of
+    its input they read, and dots the products with w_s (g_down, g_down,
+    g_up, g_up): its rates at t + c_s for its input's mean n_s, weighed by
+    the next stage's c (dt/6 for the last), so a stage state is one add
+    and the update one dot.  Only the first mean and the trace are read
+    off the state: the next stage's mean is n + w_s levels.(A x_s), by the
+    module docstring's identity with its wall term dim x_s[0, dim - 1].
     """
     nb, dim = x0.shape
-    # planes 1 .. 4 of D's and U's three taps, as [a, b] for a = 0 (D), 1 (U)
-    taps = band.taps.reshape(6, -1)[1:5].reshape(2, 2, nb, dim)
+    taps = band.taps
     prod = np.empty(taps.shape, dtype=x0.dtype)
     prod_flat = prod.reshape(4, -1).view(float)
     slopes = np.empty((4, nb, dim), dtype=x0.dtype)
@@ -527,17 +512,18 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     span = max(1, min(n_steps, _BUILD_ROWS // (nb * dim)))
     ops = np.empty((1 if B is None else span, 9, nb, dim))
     # (dt A)[i, i], [i, i + 1] and [i, i - 1] of every chain
-    a = band.operator(g_down, g_up)[:, None]
-    diag, up, down = a[1], a[2, ..., :-1], a[0, ..., 1:]
+    (d_diag, d_up), (u_low, u_diag) = band.taps
+    diag = g_down * d_diag + g_up * u_diag
+    up, down = g_down * d_up[:, :-1], g_up * u_low[:, 1:]
     size = max(1, _BUILD_ROWS // dim)
     blocks = [slice(lo, min(lo + size, nb)) for lo in range(0, nb, size)]
     for chains in blocks:
-        P = np.zeros((5, 9, *diag[:, chains].shape[1:]))
+        P = np.zeros((5, 9, *diag[chains].shape))
         P[0, 4] = 1.0
         for j in range(1, 5):
-            np.multiply(P[j - 1], diag[:, chains], out=P[j])
-            P[j, 1:, :, :-1] += up[:, chains] * P[j - 1, :-1, :, 1:]
-            P[j, :-1, :, 1:] += down[:, chains] * P[j - 1, 1:, :, :-1]
+            np.multiply(P[j - 1], diag[chains], out=P[j])
+            P[j, 1:, :, :-1] += up[chains] * P[j - 1, :-1, :, 1:]
+            P[j, :-1, :, 1:] += down[chains] * P[j - 1, 1:, :, :-1]
         if B is None:
             ops[0][:, chains] = np.dot(coeffs, P.reshape(5, -1)).reshape(9, -1, dim)
         else:

@@ -317,7 +317,9 @@ def test_console_entry_point():
 
 
 def test_bad_flag_exits_2():
-    proc = subprocess.run([sys.executable, "-m", "qcooling.cli", "simulate",
-                           "--law", "bogus", "--gamma", "1"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
+    # names are matched exactly, as argparse's choices list them
+    for flags in (["--law", "bogus", "--gamma", "1"],
+                  ["--law", "lindblad", "--model", "Constant", "--n0", "8", "--nr", "2"]):
+        proc = subprocess.run([sys.executable, "-m", "qcooling.cli", "simulate", *flags],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, flags

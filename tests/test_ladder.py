@@ -11,11 +11,11 @@ FEEDBACK = RateModel(law=RateLaw.FEEDBACK, gamma=1.0, n_res=2.0)
 
 
 def _neighbour_rates(model, n_sys, t, dim):
-    """Each level's rates down to i - 1 and up to i + 1: minus the middle
-    taps of the k = 0 row of the generator's D and U bands, scaled by the
+    """Each level's rates down to i - 1 and up to i + 1: minus the
+    diagonals of the k = 0 row of the generator's D and U, scaled by the
     law's (g_down, g_up)."""
     g_down, g_up = model.rates(t, n_sys)
-    down, up = _Band(dim, [0]).taps[:, 1, 0]
+    (down, _), (_, up) = _Band(dim, [0]).taps[:, :, 0]
     return -g_down * down, -g_up * up
 
 
@@ -33,11 +33,10 @@ def test_neighbour_rates_warm_bath():
     assert down[0] == 0.0
     assert up[-1] == 0.0                    # reflecting truncation wall
     # what leaves a level arrives at its neighbour, and nothing else moves
-    down_taps, up_taps = _Band(10, [0]).taps[:, :, 0]
-    assert np.array_equal(down_taps[2, :-1], -down_taps[1, 1:])
-    assert np.array_equal(up_taps[0, 1:], -up_taps[1, :-1])
-    assert not down_taps[0].any() and not up_taps[2].any()
-    assert down_taps[2, -1] == 0.0 and up_taps[0, 0] == 0.0
+    (down_diag, down_upper), (up_lower, up_diag) = _Band(10, [0]).taps[:, :, 0]
+    assert np.array_equal(down_upper[:-1], -down_diag[1:])
+    assert np.array_equal(up_lower[1:], -up_diag[:-1])
+    assert down_upper[-1] == 0.0 and up_lower[0] == 0.0
 
 
 def test_scaled_rates_double_at_inverse_gamma():
