@@ -97,7 +97,7 @@ def _occupation_inputs(args) -> tuple[float, float]:
         raise ValueError(
             f"--law {args.law} needs occupations: give --n0/--nr, or "
             "--t0/--tr together with --theta0 and --map exact|linear")
-    scales = PhysicalScales(theta0=args.theta0, gamma=args.gamma)
+    scales = PhysicalScales(theta0=args.theta0)
     convert = (occupation_from_temperature if args.map_kind == "exact"
                else high_temp_occupation)
     return convert(args.t0, scales), convert(args.tr, scales)
@@ -112,6 +112,11 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--t0 and --tr must be given together")
     if occ_mode and (args.n0 is None or args.nr is None):
         raise ValueError("--n0 and --nr must be given together")
+    if args.law in ANALYTIC_LAWS:
+        for flag, value in (("--theta0", args.theta0), ("--map", args.map_kind),
+                            ("--dim", args.dim)):
+            if value is not None:
+                raise ValueError(f"--law {args.law} does not read {flag}")
 
     header = {"command": "simulate", "law": args.law, "gamma": args.gamma,
               "dt": args.dt, "t_end": args.t_end}

@@ -1,9 +1,9 @@
-"""Unit conventions and the occupation/temperature dictionary.
+"""Unit conventions and the temperature-to-occupation maps.
 
-Everything in the toolkit is expressed in two user-supplied scales:
-``theta0``, the oscillator quantum in temperature units, and ``gamma``,
-the weak-coupling decay constant (inverse time).  No physical constants
-are hard-coded.
+Temperatures are expressed in one user-supplied scale, ``theta0``, the
+oscillator quantum in temperature units.  The decay constant ``gamma``
+is given to each law with its other parameters (``CoolingParams``,
+``RateModel``).  No physical constants are hard-coded.
 """
 
 from __future__ import annotations
@@ -14,20 +14,15 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class PhysicalScales:
-    """Unit system: oscillator quantum ``theta0`` and decay constant ``gamma``.
-
-    theta0 is the temperature equivalent of one oscillator quantum; gamma
-    is the inverse-time relaxation scale.  Both must be positive and finite.
+    """Unit system: ``theta0``, the temperature equivalent of one
+    oscillator quantum.  Must be positive and finite.
     """
 
     theta0: float
-    gamma: float
 
     def __post_init__(self):
         if not (math.isfinite(self.theta0) and self.theta0 > 0):
             raise ValueError(f"theta0 must be positive and finite, got {self.theta0}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 def occupation_from_temperature(temperature: float, scales: PhysicalScales) -> float:
@@ -38,17 +33,6 @@ def occupation_from_temperature(temperature: float, scales: PhysicalScales) -> f
     if not (math.isfinite(temperature) and temperature > 0):
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
     return 1.0 / math.expm1(scales.theta0 / temperature)
-
-
-def temperature_from_occupation(n_bar: float, scales: PhysicalScales) -> float:
-    """Exact inverse of :func:`occupation_from_temperature`.
-
-    Returns theta0 / ln(1 + 1/n_bar).  n_bar = 0 maps to T = 0, which is not
-    representable; raises ValueError for n_bar <= 0 or non-finite n_bar.
-    """
-    if not (math.isfinite(n_bar) and n_bar > 0):
-        raise ValueError(f"n_bar must be positive and finite, got {n_bar}")
-    return scales.theta0 / math.log1p(1.0 / n_bar)
 
 
 def high_temp_occupation(temperature: float, scales: PhysicalScales) -> float:

@@ -6,8 +6,6 @@ its correlation functions reduce to products of two-point functions
 
 * the single-mode thermal two-point table and the three-pairing
   four-point decomposition, with a brute-force trace oracle to check it,
-* the occupation bracket (2 + n_r + n_s) q12 - (n_r + n_s) q21 that
-  weights the bath-feedback contribution for a mode pair (r, s),
 * a desk-scale numerical verification that the bath feedback grows
   linearly in time with slope 2 pi^2 D^2(w0) |k(w0)|^4 (n_sys - n_res),
   i.e. gamma^2/2 per unit occupation difference.
@@ -30,8 +28,7 @@ The fully time-ordered nested integral, by contrast, pins both
 resonances to a corner of the integration simplex and stays bounded for
 all t: it carries no secular term.  The linear law is therefore a
 property of the wide-band idealization, not of the literal triple
-integral; the toolkit verifies the former (see the decisions ledger of
-the build for the measured comparison).
+integral; the toolkit verifies the former.
 
 The two axes detune oppositely and K(-d, t) = conj K(d, t), so one kernel
 serves both, their principal-value (frequency-shift) pieces cancel, and
@@ -115,31 +112,18 @@ def brute_force_four_point(ops: tuple[LadderOp, LadderOp, LadderOp, LadderOp],
     return complex(p[diag] @ amp[diag])
 
 
-def feedback_bracket(n_r: float, n_s: float, q12: complex, q21: complex) -> complex:
-    """Occupation bracket (2 + n_r + n_s) q12 - (n_r + n_s) q21.
-
-    q12 and q21 are the two orderings of the system-operator pair
-    average; for the oscillator mode they are n_sys and n_sys + 1, for
-    which the bracket collapses to 2 (n_sys - n_res) at resonance.
-    Equals the connected-pairing sum of thermal two-point products for
-    the mode pair (up to the overall sign absorbed into the master
-    equation).
-    """
-    return (2.0 + n_r + n_s) * q12 - (n_r + n_s) * q21
-
-
 # ---------------------------------------------------------------------------
 # discretized reservoir
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Discretized reservoir band: frequencies, |coupling|^2, density of
-    states, and quadrature weights turning mode sums into integrals."""
+    """Discretized reservoir band: frequencies, the strength profile
+    D(w) |k(w)|^2 (density of states times squared coupling), and
+    quadrature weights turning mode sums into integrals."""
 
     frequencies: np.ndarray
-    coupling: np.ndarray
-    density: np.ndarray
+    strength: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
@@ -150,17 +134,12 @@ class ModeGrid:
             raise ValueError("frequencies must be strictly increasing")
         if f[0] <= 0:
             raise ValueError("frequencies must be positive")
-        for name in ("coupling", "density", "weights"):
+        for name in ("strength", "weights"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != f.shape:
                 raise ValueError(f"{name} must match frequencies in shape")
             if np.any(arr < 0):
                 raise ValueError(f"{name} must be nonnegative")
-
-    @property
-    def strength(self) -> np.ndarray:
-        """Pointwise D(w) |k(w)|^2 profile."""
-        return np.asarray(self.density) * np.asarray(self.coupling)
 
     @classmethod
     def flat_band(cls, omega0: float, half_width: float,
@@ -176,8 +155,8 @@ class ModeGrid:
         w = np.full(n_modes, f[1] - f[0])
         w[0] *= 0.5
         w[-1] *= 0.5
-        return cls(frequencies=f, coupling=np.full(n_modes, 1.0 / (2.0 * math.pi)),
-                   density=np.ones(n_modes), weights=w)
+        return cls(frequencies=f, strength=np.full(n_modes, 1.0 / (2.0 * math.pi)),
+                   weights=w)
 
 
 def decay_constant(grid: ModeGrid, omega0: float) -> float:
@@ -244,7 +223,7 @@ def evolved_spectral_density(grid: ModeGrid, omega0: float, n_sys: float,
         raise ValueError(f"omega0={omega0} not inside grid span")
 
     n_res = bath_occupations(grid, temperature)
-    w = grid.weights * grid.strength
+    w = np.multiply(grid.weights, grid.strength)
     kernel = _resonance_kernel(f - omega0, t_values[:, None])
     plain, excess = kernel @ w, kernel @ (w * (n_sys - n_res))
     # the other axis's sums are the conjugates, so the bracket is 2 Re(...)

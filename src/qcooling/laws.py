@@ -69,19 +69,6 @@ def evaluate_law(kind: LawKind, params: CoolingParams, t):
     return out if out.ndim else float(out)
 
 
-def rate_rhs(kind: LawKind, params: CoolingParams, x, t):
-    """Time derivative dx/dt of the law at state ``x`` and time ``t``.
-
-    Newton/Markov: -gamma (x - x_res).  Modified: -gamma (x - x_res)(1 + gamma t),
-    which is the derivative of :func:`evaluate_law` along its own trajectory.
-    """
-    t = _check_time(t)
-    g = params.gamma
-    base = -g * (np.asarray(x, dtype=float) - params.x_res)
-    out = base * (1.0 + g * t) if kind is LawKind.MODIFIED else base * np.ones_like(t)
-    return out if out.ndim else float(out)
-
-
 def half_thermalization_time(kind: LawKind, gamma: float) -> float:
     """Time for the deviation from the reservoir value to halve.
 

@@ -194,13 +194,6 @@ class IntegrationError(RuntimeError):
 # state constructors and observables
 # ---------------------------------------------------------------------------
 
-def lowering_operator(dim: int) -> np.ndarray:
-    """Truncated lowering operator a on the lowest ``dim`` Fock levels."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-
-
 def default_dim(n_max: float) -> int:
     """Truncation size keeping Poissonian tails below ~1e-9 (a geometric
     tail at the same mean is heavier; see ``_thermal_dim``).

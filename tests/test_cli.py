@@ -190,6 +190,18 @@ def test_simulate_mode_exclusivity(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("law", ["newton", "markov", "modified"])
+@pytest.mark.parametrize("flag", [("--theta0", "2"), ("--map", "exact"), ("--dim", "48")])
+def test_simulate_closed_form_law_rejects_integrator_flags(capsys, law, flag):
+    # no closed-form law reads these, so accepting one would echo a value
+    # into the header that had no effect on the output
+    code, out, err = run_cli(capsys, "simulate", "--law", law, "--t0", "3",
+                             "--tr", "1", "--gamma", "1", *flag)
+    assert code == 2
+    assert out == ""
+    assert f"--law {law} does not read {flag[0]}" in err
+
+
 def test_simulate_unstable_step_exits_3(capsys):
     code, _, err = run_cli(capsys, "simulate", "--law", "lindblad",
                            "--model", "constant", "--n0", "8", "--nr", "2",

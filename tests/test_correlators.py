@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcooling import (LadderOp, ModeGrid, PhysicalScales, bath_occupations,
                       brute_force_four_point, decay_constant,
-                      evolved_spectral_density, feedback_bracket,
-                      lowering_operator, occupation_from_temperature,
+                      evolved_spectral_density, occupation_from_temperature,
                       thermal_two_point, wick_four_point)
 from qcooling.correlators import _resonance_kernel
 
@@ -25,7 +24,7 @@ def test_vacuum_two_points():
 
 
 def test_two_point_matches_temperature_map():
-    scales = PhysicalScales(theta0=1.0, gamma=1.0)
+    scales = PhysicalScales(theta0=1.0)
     n_bar = occupation_from_temperature(200.0, scales)
     assert thermal_two_point(R, L, n_bar).real == pytest.approx(199.500416666, abs=1e-6)
 
@@ -90,7 +89,7 @@ def test_brute_force_matches_dense_matrix_products(ops, dim, scale):
     x_max = 1e-10 ** (1.0 / dim)
     n_bar = scale * x_max / (1.0 - scale * x_max)
     x = n_bar / (1.0 + n_bar)
-    low = lowering_operator(dim)
+    low = np.diag(np.sqrt(np.arange(1, dim)), 1)   # truncated a
     p = x ** np.arange(dim)
     p /= p.sum()
     factors = [low if op is L else low.conj().T for op in ops]
@@ -105,47 +104,15 @@ def test_brute_force_matches_dense_matrix_products(ops, dim, scale):
         assert got == 0
 
 
-# --- occupation bracket -----------------------------------------------------
-
-def test_bracket_resonant_value():
-    # oscillator pair averages q12 = n_sys, q21 = n_sys + 1
-    for n_sys, n_res in ((7.0, 2.0), (0.5, 3.0)):
-        value = feedback_bracket(n_res, n_res, n_sys, n_sys + 1.0)
-        assert value == pytest.approx(2.0 * (n_sys - n_res))
-    assert feedback_bracket(2.0, 2.0, 2.0, 3.0) == 0.0
-    assert feedback_bracket(1.0, 4.0, 0.0, 0.0) == 0.0
-
-
-def test_bracket_equals_connected_pairing_sum():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        n_r, n_s = rng.uniform(0, 4, size=2)
-        q12 = complex(*rng.normal(size=2))
-        q21 = complex(*rng.normal(size=2))
-        # connected pairings of the two orderings, per mode assignment:
-        # normal pair <lower raise> = 1 + n, antinormal <raise lower> = n
-        coeff_q12 = (thermal_two_point(L, R, n_r) * thermal_two_point(R, L, n_s)
-                     - thermal_two_point(L, R, n_r) * thermal_two_point(L, R, n_s)
-                     + thermal_two_point(R, L, n_r) * thermal_two_point(L, R, n_s)
-                     - thermal_two_point(L, R, n_s) * thermal_two_point(L, R, n_r))
-        coeff_q21 = (thermal_two_point(R, L, n_r)
-                     * (thermal_two_point(L, R, n_s) - thermal_two_point(R, L, n_s))
-                     + thermal_two_point(R, L, n_s)
-                     * (thermal_two_point(L, R, n_r) - thermal_two_point(R, L, n_r)))
-        pairing_sum = coeff_q12 * q12 + coeff_q21 * q21
-        assert pairing_sum == pytest.approx(-feedback_bracket(n_r, n_s, q12, q21),
-                                            abs=1e-12)
-
-
 # --- mode grid and decay constant -------------------------------------------
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        ModeGrid(frequencies=np.array([2.0, 1.0]), coupling=np.ones(2),
-                 density=np.ones(2), weights=np.ones(2))
+        ModeGrid(frequencies=np.array([2.0, 1.0]), strength=np.ones(2),
+                 weights=np.ones(2))
     with pytest.raises(ValueError):
-        ModeGrid(frequencies=np.array([1.0, 2.0]), coupling=np.ones(3),
-                 density=np.ones(2), weights=np.ones(2))
+        ModeGrid(frequencies=np.array([1.0, 2.0]), strength=np.ones(3),
+                 weights=np.ones(2))
     with pytest.raises(ValueError):
         ModeGrid.flat_band(omega0=5.0, half_width=10.0)
 
@@ -159,8 +126,7 @@ def test_decay_constant_flat_band():
 
 def test_decay_constant_interpolates():
     f = np.linspace(10.0, 20.0, 11)
-    grid = ModeGrid(frequencies=f, coupling=f / (2 * np.pi), density=np.ones(11),
-                    weights=np.full(11, 1.0))
+    grid = ModeGrid(frequencies=f, strength=f / (2 * np.pi), weights=np.full(11, 1.0))
     assert decay_constant(grid, 15.5) == pytest.approx(15.5, rel=1e-12)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcooling import (CoolingParams, LawKind, evaluate_law,
-                      half_thermalization_time, rate_rhs, time_to_value)
+                      half_thermalization_time, time_to_value)
 
 FIG_PARAMS = CoolingParams(x0=2000.0, x_res=200.0, gamma=1.0)
 ALL_KINDS = (LawKind.NEWTON, LawKind.MARKOV, LawKind.MODIFIED)
@@ -29,21 +29,11 @@ def test_modified_vs_markov_unit_case():
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
         evaluate_law(LawKind.NEWTON, FIG_PARAMS, -0.1)
-    with pytest.raises(ValueError):
-        rate_rhs(LawKind.MODIFIED, FIG_PARAMS, 500.0, -1.0)
-
-
-def test_rate_rhs_values():
-    for kind in ALL_KINDS:
-        assert rate_rhs(kind, FIG_PARAMS, 200.0, 0.7) == 0.0
-    # correction term vanishes at t=0: modified coincides with newton
-    assert rate_rhs(LawKind.MODIFIED, FIG_PARAMS, 2000.0, 0.0) == pytest.approx(-1800.0)
-    params = CoolingParams(x0=150.0, x_res=50.0, gamma=1.0)
-    assert rate_rhs(LawKind.MODIFIED, params, 150.0, 0.5) == pytest.approx(-150.0)
 
 
 def test_rate_matches_numerical_derivative():
-    # central difference of the trajectory vs the stated rhs
+    # central difference of the trajectory vs its rate law:
+    # -gamma (x - x_res), times (1 + gamma t) for the modified law
     h = 1e-6
     for params in (FIG_PARAMS, CoolingParams(x0=1.0, x_res=4.0, gamma=2.0)):
         h_g = h / params.gamma
@@ -52,8 +42,10 @@ def test_rate_matches_numerical_derivative():
             for t in np.linspace(h_g, 5.0 / params.gamma, 40):
                 num = (evaluate_law(kind, params, t + h_g)
                        - evaluate_law(kind, params, t - h_g)) / (2 * h_g)
-                x_t = evaluate_law(kind, params, t)
-                assert abs(num - rate_rhs(kind, params, x_t, t)) < tol
+                rate = -params.gamma * (evaluate_law(kind, params, t) - params.x_res)
+                if kind is LawKind.MODIFIED:
+                    rate *= 1.0 + params.gamma * t
+                assert abs(num - rate) < tol
 
 
 def test_half_time_values():

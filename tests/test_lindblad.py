@@ -10,8 +10,8 @@ from scipy.integrate import solve_ivp
 from scipy.sparse import diags
 
 from qcooling import (IntegrationError, IntegratorConfig, RateLaw, RateModel,
-                      check_density_matrix, default_dim, evolve_populations, integrate,
-                      lindblad, lindblad_rhs, lowering_operator, mean_occupation,
+                      channel, check_density_matrix, default_dim, evolve_populations,
+                      integrate, lindblad, lindblad_rhs, mean_occupation,
                       number_state, thermal_state)
 
 GAMMA, N_RES = 1.0, 2.0
@@ -285,9 +285,14 @@ def _random_state(dim, seed):
     return rho / np.trace(rho).real
 
 
+def _lowering(dim):
+    """Truncated lowering operator a on the lowest ``dim`` Fock levels."""
+    return np.diag(np.sqrt(np.arange(1, dim)), 1)
+
+
 def test_rhs_matches_explicit_matrix_products():
     dim = 17
-    low = lowering_operator(dim)
+    low = _lowering(dim)
     raise_ = low.conj().T
     t = 0.4
     # the generator is linear: a non-Hermitian input and a real one are
@@ -376,15 +381,14 @@ INTEGRATORS = pytest.mark.parametrize(
 
 @INTEGRATORS
 def test_feedback_mean_follows_its_closed_form(run):
-    # both rates get the same correction c and g_down - g_up = gamma, so
-    # dn/dt = -gamma (n - n_res) + c, solved by the expression below; dim 160
-    # keeps the truncation wall out of reach
+    # the mean of the closed-form channel, eta n0 + nu; dim 160 keeps the
+    # truncation wall out of reach
     n0, dim = 8, 160
     cfg = IntegratorConfig(dt=2.5e-4, t_end=1.0, record_every=100)
     traj = run(number_state(n0, dim).diagonal().real, FEEDBACK, cfg)
-    t = traj.times
-    oracle = N_RES + (n0 - N_RES) * np.exp(-GAMMA * t + 0.5 * GAMMA**2 * t**2)
-    assert t[-1] == 1.0
+    eta, nu = channel.parameters(FEEDBACK, n0, traj.times)
+    oracle = eta * n0 + nu
+    assert traj.times[-1] == 1.0
     assert np.abs(traj.n_bar - oracle).max() < 1e-12
 
 
@@ -653,7 +657,7 @@ def test_coherent_amplitude_decays_at_half_rate():
     # dim 60 keeps the truncation wall out of reach (at dim 24 it shows, 5e-6)
     dim = 60
     rho0 = _pure_state({3: 1.0, 4: 1.0, 5: 1.0j}, dim)
-    low = lowering_operator(dim)
+    low = _lowering(dim)
     mean_a = lambda rho: np.trace(low @ rho)
     cfg = IntegratorConfig(dt=0.001, t_end=0.4, record_every=100)
     traj = integrate(rho0, CONSTANT, cfg)
@@ -665,7 +669,7 @@ def test_coherent_amplitude_decays_at_half_rate():
 
 def _explicit_rk4(rho, model, dt, steps):
     """RK4 on the master equation written with explicit a, a+ products."""
-    low = lowering_operator(rho.shape[0])
+    low = _lowering(rho.shape[0])
     raise_ = low.conj().T
     number, anti = raise_ @ low, low @ raise_
 
