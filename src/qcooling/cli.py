@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="sample a relaxation trajectory as CSV")
     sim.add_argument("--law", required=True, choices=ANALYTIC_LAWS + INTEGRATOR_LAWS)
     sim.add_argument("--model", choices=[m.value for m in RateLaw],
-                     default="scaled", help="rate law for the integrators")
+                     help="rate law for the integrators (default scaled)")
     sim.add_argument("--gamma", type=float, required=True)
     sim.add_argument("--t0", type=float, help="initial temperature")
     sim.add_argument("--tr", type=float, help="reservoir temperature")
@@ -114,7 +114,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--n0 and --nr must be given together")
     if args.law in ANALYTIC_LAWS:
         for flag, value in (("--theta0", args.theta0), ("--map", args.map_kind),
-                            ("--dim", args.dim)):
+                            ("--dim", args.dim), ("--model", args.model)):
             if value is not None:
                 raise ValueError(f"--law {args.law} does not read {flag}")
 
@@ -138,8 +138,8 @@ def _cmd_simulate(args) -> int:
         data = ts, values, ts < 1.0 / args.gamma
     else:
         n0, n_res = _occupation_inputs(args)
-        model = RateModel(law=RateLaw(args.model),
-                          gamma=args.gamma, n_res=n_res)
+        law = RateLaw(args.model or "scaled")
+        model = RateModel(law=law, gamma=args.gamma, n_res=n_res)
         fock = abs(n0 - round(n0)) < 1e-9
         dim = args.dim
         if dim is None:
@@ -148,7 +148,7 @@ def _cmd_simulate(args) -> int:
             dim = max(default_dim(max(n0, n_res)), _thermal_dim(n_res, 1e-8))
             if not fock:
                 dim = max(dim, _thermal_dim(n0, 1e-9))
-        header.update(model=args.model, dim=dim)
+        header.update(model=law.value, dim=dim)
         rho0 = number_state(int(round(n0)), dim) if fock else thermal_state(n0, dim)
         if args.law == "lindblad":
             traj = integrate(rho0, model, cfg)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lindblad import (_POS_TOL, _TRACE_MAX, _TRACE_MIN, IntegratorConfig, RateModel, Trajectory,
-                       _Band, _evolve)
+                       _band, _evolve)
 
 
 def evolve_populations(p0: np.ndarray, model: RateModel,
@@ -40,4 +40,4 @@ def evolve_populations(p0: np.ndarray, model: RateModel,
     total = p0.sum()
     if not _TRACE_MIN <= total <= _TRACE_MAX:
         raise ValueError(f"populations must sum to 1 within budget, got {total!r}")
-    return _evolve(_Band(p0.size, [0]), p0[None, :], model, cfg)[0]
+    return _evolve(_band(p0.size, (0,)), p0[None, :], model, cfg)[0]

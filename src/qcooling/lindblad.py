@@ -39,7 +39,12 @@ g_down D + g_up U for two fixed tridiagonal chains D and U, which
 :class:`_Band` stores as their four planes that are not always zero.
 Under CONSTANT and SCALED one RK4 step is a degree-4 polynomial in dt A,
 one nine-tap operator, the one operator stored taps-first
-(:func:`_polynomial_step`); a FEEDBACK stage dots its rates, read off its
+(:func:`_polynomial_step`), whose taps a step sums with one product with
+ones.  On the k = 0 chain alone (every diagonal state, and the ladder)
+the powers of dt A are one matrix product of their rate weights with the
+rate-free sums of the words in D and U (:func:`_word_sums`), which are
+kept for the most recent dim; the band of each recent (dim, offsets) is
+kept too, read-only.  A FEEDBACK stage dots its rates, read off its
 state's mean, with the products of the four planes and views of its
 state.  That mean follows from scalars, as
 levels.(A x) = -g_down n + g_up (n + trace - dim x_top) on the truncated
@@ -58,7 +63,7 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -288,31 +293,36 @@ def check_density_matrix(rho: np.ndarray):
     among them), and its minimum eigenvalue, computed block by block
     (:func:`_min_eigenvalue`; a diagonal rho needs no ``eigvalsh``).
     Hermiticity is checked over the nonzero entries only: a zero entry
-    with a zero mirror adds nothing.  The nonzero entries of a diagonal
-    rho, which has none off its diagonal, are read off its diagonal, not
-    found by an index scan of all dim^2 entries; a population's asymmetry
-    is twice its imaginary part.
+    with a zero mirror adds nothing.  A diagonal rho, which has no entry
+    off its diagonal, is read off its diagonal alone, not by an index scan
+    of all dim^2 entries; a population's asymmetry is twice its imaginary
+    part.
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     dim = len(rho)
+    diagonal = rho.diagonal()
     # every entry off the diagonal, as rows of dim + 1 flat entries less the last
     if rho.reshape(-1)[1:].reshape(dim - 1, dim + 1)[:, :dim].any():
         rows, cols = np.nonzero(rho != 0)
+        values = rho[rows, cols]
+        herm = np.abs(values - rho[cols, rows].conj()).max(initial=0.0)
     else:
-        rows = cols = np.flatnonzero(rho.diagonal())
-    values = rho[rows, cols]
-    herm = np.abs(values - rho[cols, rows].conj()).max(initial=0.0)
+        rows = None
+        herm = 2.0 * np.abs(diagonal.imag).max()
     if not herm <= _HERM_TOL:
         raise ValueError(f"not Hermitian: max asymmetry {herm:g} > {_HERM_TOL:g}")
     tr = float(np.real(np.trace(rho)))
     if not _TRACE_MIN <= tr <= _TRACE_MAX:
         raise ValueError(f"trace {tr!r} outside [{_TRACE_MIN!r}, {_TRACE_MAX!r}]")
-    # a unit trace puts 0 among the offsets (np.unique would import numpy.ma)
-    offsets = np.flatnonzero(np.bincount(np.abs(rows - cols)))
-    g, lower = int(np.gcd.reduce(offsets)), rows >= cols
-    min_eig = float(rho.diagonal().real.min()) if g == 0 else _min_eigenvalue(
-        dim, g, rows[lower], cols[lower], values[lower])
+    if rows is None:
+        offsets, min_eig = np.zeros(1, dtype=np.intp), float(diagonal.real.min())
+    else:
+        # a unit trace puts 0 among the offsets (np.unique would import numpy.ma)
+        offsets = np.flatnonzero(np.bincount(np.abs(rows - cols)))
+        lower = rows >= cols
+        min_eig = _min_eigenvalue(dim, int(np.gcd.reduce(offsets)), rows[lower],
+                                  cols[lower], values[lower])
     if not min_eig >= -_POS_TOL:
         raise ValueError(f"not positive: min eigenvalue {min_eig:g} < -{_POS_TOL:g}")
     return offsets, min_eig
@@ -336,12 +346,15 @@ class _Band:
     always zero, shape (2, 2, rows, dim), taps[a, b] multiplying
     x[j, i + b - a]; they vanish on the padding and at both row ends, so
     the padding stays zero.  Row 0 is always k = 0, the population ladder;
-    when it is the only row the state is real and diagonal.
+    when it is the only row the state is real and diagonal.  ``g`` is the
+    gcd of the offsets.  Every array is read-only, so that one band can
+    serve every run on its (dim, offsets) (:func:`_band`).
     """
 
     def __init__(self, dim: int, offsets):
         self.dim = dim
         self.offsets = np.asarray(offsets)
+        self.g = int(np.gcd.reduce(self.offsets))
         k = self.offsets[:, None]
         i = np.arange(dim)
         top = i + k
@@ -356,13 +369,18 @@ class _Band:
         self.taps[1, 0, :, 1:] = self.taps[0, 1, :, :-1]
         rows, cols = np.nonzero(inside)
         self.lower = (cols + self.offsets[rows], cols)
+        for a in (self.offsets, self.mask, self.levels, self.taps, *self.lower):
+            a.flags.writeable = False
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
         """Stored diagonals of the Hermitian part of rho (real if k = 0 only)."""
+        if len(self.offsets) == 1:
+            # 0.5 (p + conj(p)) is Re p exactly
+            return rho.diagonal().real.astype(float)[None]
         r, c = self.lower
         x = np.zeros(self.mask.shape, dtype=complex)
         x[self.mask] = 0.5 * (rho[r, c] + rho[c, r].conj())
-        return x if len(self.offsets) > 1 else x.real.copy()
+        return x
 
     def dense(self, x: np.ndarray) -> np.ndarray:
         r, c = self.lower
@@ -370,6 +388,70 @@ class _Band:
         rho[c, r] = x[self.mask].conj()
         rho[r, c] = x[self.mask]
         return rho
+
+
+# the band of each recent (dim, offsets), the offsets a tuple; a run reads its
+# band and writes nothing to it, so runs on the same diagonals share one
+_band = lru_cache(maxsize=16)(_Band)
+
+# the 15 words of at most 4 factors of D and U, as how many of each, by length
+# j and then by falling count of D: the words of length j start at j (j + 1) / 2,
+# the m-th being (j - m, m); _POWER_OF_WORD[j] marks them
+_WORD_D, _WORD_U = np.array([(a, j - a) for j in range(5) for a in range(j, -1, -1)]).T
+_POWER_OF_WORD = np.equal.outer(np.arange(5), _WORD_D + _WORD_U)
+
+
+@lru_cache(maxsize=1)
+def _word_sums(dim: int) -> np.ndarray:
+    """S[w] for each word w = (a, b) = (``_WORD_D[w]``, ``_WORD_U[w]``): the
+    sum of all products of a factors D and b factors U on the dim-level
+    k = 0 chain, as nine taps (``S[w, d, i]`` multiplying x[i + d - 4]),
+    read-only and flat, shape (15, 9 dim).  They do not depend on the
+    rates: (g_down D + g_up U)^j is the sum of g_down^a g_up^b S[(a, b)]
+    over a + b = j.  S[(a, b)] = D S[(a - 1, b)] + U S[(a, b - 1)], built
+    for all words of one length at once."""
+    (d_diag, d_up), (u_low, u_diag) = _band(dim, (0,)).taps[:, :, 0]
+    S = np.zeros((15, 9, dim))
+    S[0, 4] = 1.0
+    term = np.empty((4, 9, dim))
+    for j in range(1, 5):
+        # D and U times the j words x of length j - 1 give the words of
+        # length j that start at w and at w + 1
+        x, w, t = S[(j - 1) * j // 2:j * (j + 1) // 2], j * (j + 1) // 2, term[:j]
+        np.multiply(d_diag, x, out=S[w:w + j])
+        np.multiply(d_up[:-1], x[:, :-1, 1:], out=t[:, 1:, :-1])
+        S[w:w + j, 1:, :-1] += t[:, 1:, :-1]
+        np.multiply(u_diag, x, out=t)
+        S[w + 1:w + j + 1] += t
+        np.multiply(u_low[1:], x[:, 1:, :-1], out=t[:, :-1, 1:])
+        S[w + 1:w + j + 1, :-1, 1:] += t[:, :-1, 1:]
+    S = S.reshape(15, -1)
+    S.flags.writeable = False
+    return S
+
+
+def _chain_powers(dim: int, g_down: float, g_up: float) -> np.ndarray:
+    """(g_down D + g_up U)^j on the dim-level k = 0 chain for j = 0 .. 4,
+    as nine taps each, shape (5, 9 dim): the sum of g_down^a g_up^b
+    S[(a, b)] over a + b = j (:func:`_word_sums`), as one matrix product."""
+    return np.dot(_POWER_OF_WORD * (g_down ** _WORD_D * g_up ** _WORD_U), _word_sums(dim))
+
+
+def _band_powers(band: _Band, g_down: float, g_up: float, chains: slice) -> np.ndarray:
+    """(g_down D + g_up U)^j on the stored diagonals ``chains`` for
+    j = 0 .. 4, as nine taps each, shape (5, 9, rows, dim), built one
+    factor at a time."""
+    (d_diag, d_up), (u_low, u_diag) = band.taps[:, :, chains]
+    # the entries [i, i], [i, i + 1] and [i, i - 1] of every chain
+    diag = g_down * d_diag + g_up * u_diag
+    up, down = g_down * d_up[:, :-1], g_up * u_low[:, 1:]
+    P = np.zeros((5, 9, *diag.shape))
+    P[0, 4] = 1.0
+    for j in range(1, 5):
+        np.multiply(P[j - 1], diag, out=P[j])
+        P[j, 1:, :, :-1] += up * P[j - 1, :-1, :, 1:]
+        P[j, :-1, :, 1:] += down * P[j - 1, 1:, :, :-1]
+    return P
 
 
 def _shifted(x0: np.ndarray, width: int):
@@ -481,10 +563,15 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     The four stages compose to x <- sum_j c_j (dt A)^j x, with f1, f2, f3
     the scale at t, t + dt/2 and t + dt:
     c = (1, (f1 + 4 f2 + f3)/6, f2 (f1 + f2 + f3)/6, f2^2 (f1 + f3)/12,
-    f1 f2^2 f3/24).  P[j] holds the nine taps of (dt A)^j, built as
-    dt A P[j - 1] for ``_BUILD_ROWS // dim`` stored diagonals at a time,
-    the blocks of rows in which the operator is also applied.  CONSTANT
-    keeps only sum_j c_j P[j].  SCALED, whose c_j change every step, keeps
+    f1 f2^2 f3/24), which is (1, f2, f2^2/2, f2^3/6, f1 f2^2 f3/24) for
+    a scale linear in t, as both laws' are.  P[j] holds the nine taps of
+    (dt A)^j.  A state on the k = 0 chain alone takes them from the cached
+    word sums (:func:`_chain_powers`), one (5 x 15) by (15 x 9 dim)
+    product; any other builds them one factor at a time
+    (:func:`_band_powers`) for ``_BUILD_ROWS // dim`` stored diagonals at
+    a time, the blocks of rows in which the operator is also applied.
+    CONSTANT, whose c are five scalars, keeps only sum_j c_j P[j].
+    SCALED, whose c_j change every step, keeps
     the five powers B and builds the operators of ``span`` consecutive
     steps at once, as one matrix product of their c with B, so that a step
     is one product and one sum over the taps, as under CONSTANT.  ``span``
@@ -492,43 +579,41 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     one block of rows builds one operator per step.  The blocks of steps
     start at the multiples of ``span``, whatever n0 is, so the intervals a
     run is advanced in change no bit.  The state alternates between the
-    two buffers of :func:`_shifted`.
+    two buffers of :func:`_shifted`, and a step sums its nine products
+    with one BLAS product with ones, on float views of a complex state.
     """
     nb, dim = x0.shape
     g_down, g_up = (dt * g for g in model.rates(0.0, 0.0))
-    t = np.arange(n_steps) * dt
+    # CONSTANT's scale is 1 at every t, so its c are five scalars
+    t = np.arange(n_steps) * dt if model.law is RateLaw.SCALED else 0.0
     f1, f2, f3 = (_rate_scale(model, s) for s in (t, t + 0.5 * dt, t + dt))
-    coeffs = np.array([np.ones_like(f1), (f1 + 4.0 * f2 + f3) / 6.0,
-                       f2 * (f1 + f2 + f3) / 6.0, f2 * f2 * (f1 + f3) / 12.0,
-                       f1 * f2 * f2 * f3 / 24.0]).T
+    f22 = f2 * f2
+    coeffs = np.array([np.ones_like(f2), f2, 0.5 * f22, f22 * f2 / 6.0,
+                       f1 * f3 * f22 / 24.0]).T
     B = None if coeffs.ndim == 1 else np.empty((5, 9, nb, dim))
     span = max(1, min(n_steps, _BUILD_ROWS // (nb * dim)))
     ops = np.empty((1 if B is None else span, 9, nb, dim))
-    # (dt A)[i, i], [i, i + 1] and [i, i - 1] of every chain
-    (d_diag, d_up), (u_low, u_diag) = band.taps
-    diag = g_down * d_diag + g_up * u_diag
-    up, down = g_down * d_up[:, :-1], g_up * u_low[:, 1:]
     size = max(1, _BUILD_ROWS // dim)
     blocks = [slice(lo, min(lo + size, nb)) for lo in range(0, nb, size)]
     for chains in blocks:
-        P = np.zeros((5, 9, *diag[chains].shape))
-        P[0, 4] = 1.0
-        for j in range(1, 5):
-            np.multiply(P[j - 1], diag[chains], out=P[j])
-            P[j, 1:, :, :-1] += up[chains] * P[j - 1, :-1, :, 1:]
-            P[j, :-1, :, 1:] += down[chains] * P[j - 1, 1:, :, :-1]
+        P = (_chain_powers(dim, g_down, g_up) if nb == 1
+             else _band_powers(band, g_down, g_up, chains))
         if B is None:
             ops[0][:, chains] = np.dot(coeffs, P.reshape(5, -1)).reshape(9, -1, dim)
         else:
-            B[:, :, chains] = P
+            B[:, :, chains] = P.reshape(5, 9, -1, dim)
     if B is not None:
         B, ops_flat = B.reshape(5, -1), ops.reshape(span, -1)
 
     states, views = _shifted(x0, 9)
     prod = np.empty((9, min(size, nb), dim), dtype=x0.dtype)
-    # the input views, product and output of each block of rows, for a step
+    ones = np.ones(9)
+    # the input views, product, and the product and output as floats (for
+    # the tap sum, a product with ones) of each block of rows, for a step
     # that reads the state in buffer 0 and for one that reads buffer 1
-    rows = [[(views[s][:, r], prod[:, :r.stop - r.start], states[1 - s][r]) for r in blocks]
+    rows = [[(views[s][:, r], prod[:, :r.stop - r.start],
+              prod[:, :r.stop - r.start].reshape(9, -1).view(float),
+              states[1 - s][r].reshape(-1).view(float)) for r in blocks]
             for s in (0, 1)]
     nr = len(blocks)
     parity = (rows[0] + rows[1]) * (span // 2 + 1)
@@ -540,18 +625,18 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
 
     def advance(n0, n1):
         nonlocal built
-        multiply, add_reduce = np.multiply, np.add.reduce
+        multiply, dot = np.multiply, np.dot
         for lo in range(n0 - n0 % span, n1, span):
             if B is not None and lo != built:
                 c = coeffs[lo:lo + span]
-                np.dot(c, B, out=ops_flat[:len(c)])
+                dot(c, B, out=ops_flat[:len(c)])
                 built = lo
             k = max(n0 - lo, 0)
             # step n + 1 reads the state in buffer n % 2 and writes the other one
-            for op_r, (x_r, prod_r, out_r) in zip(op_seq[k * nr:(n1 - lo) * nr],
-                                                  parity[(lo + k) % 2 * nr:]):
-                multiply(op_r, x_r, out=prod_r)
-                add_reduce(prod_r, axis=0, out=out_r)
+            for op_r, (x_r, prod_r, terms, out) in zip(op_seq[k * nr:(n1 - lo) * nr],
+                                                       parity[(lo + k) % 2 * nr:]):
+                multiply(op_r, x_r, prod_r)
+                dot(ones, terms, out)
         return states[n1 % 2]
 
     return advance
@@ -581,13 +666,14 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
     """
     x = x0
     dt, n_steps = cfg.dt, cfg.n_steps
-    advance = (_staged_step(band, x0, model, dt) if _rate_scale(model, 0.0) is None
-               else _polynomial_step(band, x0, model, dt, n_steps))
-    recorded = cfg.recorded_steps.tolist()   # Python ints compare fastest
+    # a run of no steps never advances, so it builds no propagator
+    advance = None if not n_steps else (
+        _staged_step(band, x0, model, dt) if _rate_scale(model, 0.0) is None
+        else _polynomial_step(band, x0, model, dt, n_steps))
+    # Python ints compare fastest
+    recorded = [*range(0, n_steps, cfg.record_every), n_steps]
     events = sorted({*recorded, *range(0, n_steps, _CHECK_EVERY), n_steps})
     pops, purities, check_times, min_eigs = [], [], [], []
-    # the stored offsets never change, so neither do the blocks' residues
-    g = int(np.gcd.reduce(band.offsets))
 
     def checkpoint(step, min_eig):
         t = step * dt
@@ -597,8 +683,8 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
             raise IntegrationError("state has blown up (unstable step size?)",
                                    t, tr, float("nan"))
         if min_eig is None:
-            min_eig = float(x[0].min()) if g == 0 else _min_eigenvalue(
-                band.dim, g, *band.lower, x[band.mask], _NEGLIGIBLE)
+            min_eig = float(x[0].min()) if band.g == 0 else _min_eigenvalue(
+                band.dim, band.g, *band.lower, x[band.mask], _NEGLIGIBLE)
         check_times.append(t)
         min_eigs.append(min_eig)
         if not _TRACE_MIN <= tr <= _TRACE_MAX:
@@ -653,7 +739,7 @@ def integrate(rho0: np.ndarray, model: RateModel, cfg: IntegratorConfig) -> Traj
     Observables are recorded every ``cfg.record_every`` steps.
     """
     offsets, min_eig = check_density_matrix(rho0)
-    band = _Band(rho0.shape[0], offsets)
+    band = _band(rho0.shape[0], tuple(offsets.tolist()))
     traj, x = _evolve(band, band.pack(rho0), model, cfg, min_eig)
     traj._final = band, x
     return traj

@@ -191,10 +191,11 @@ def test_simulate_mode_exclusivity(capsys):
 
 
 @pytest.mark.parametrize("law", ["newton", "markov", "modified"])
-@pytest.mark.parametrize("flag", [("--theta0", "2"), ("--map", "exact"), ("--dim", "48")])
+@pytest.mark.parametrize("flag", [("--theta0", "2"), ("--map", "exact"), ("--dim", "48"),
+                                  ("--model", "feedback")])
 def test_simulate_closed_form_law_rejects_integrator_flags(capsys, law, flag):
-    # no closed-form law reads these, so accepting one would echo a value
-    # into the header that had no effect on the output
+    # no closed-form law reads these, so accepting one would let a value
+    # pass that had no effect on the output
     code, out, err = run_cli(capsys, "simulate", "--law", law, "--t0", "3",
                              "--tr", "1", "--gamma", "1", *flag)
     assert code == 2

@@ -857,3 +857,77 @@ def test_sampling_does_not_perturb_stepping(model, advance_calls):
         assert np.array_equal(traj.purity, full.purity[recorded])
         assert np.array_equal(traj.min_eigenvalues, full.min_eigenvalues)
         assert np.array_equal(traj.final_state, full.final_state)
+
+
+# --- setup: the cached generator and the word sums -------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 60), g_down=st.floats(0.0, 5.0), g_up=st.floats(0.0, 5.0),
+       dt=st.floats(1e-4, 1.0))
+@example(dim=2, g_down=0.0, g_up=0.0, dt=1.0)
+def test_word_sums_give_the_powers_of_the_population_generator(dim, g_down, g_up, dt):
+    # (dt A)^j for the k = 0 chain, written densely from the dissipator's
+    # matrix elements, against the weighted word sums the step builds from
+    model = SimpleNamespace(rates=lambda t, n_sys: (g_down, g_up))
+    step = np.zeros((dim, dim))
+    for level in range(dim):
+        step[:, level] = dt * lindblad_rhs(number_state(level, dim), 0.0, model).diagonal().real
+    powers = lindblad._chain_powers(dim, dt * g_down, dt * g_up).reshape(5, 9, dim)
+    i = np.arange(dim)
+    for j in range(5):
+        dense = np.linalg.matrix_power(step, j)
+        taps = np.zeros((9, dim))
+        for d in range(9):
+            inside = (i + d - 4 >= 0) & (i + d - 4 < dim)
+            taps[d, inside] = dense[i[inside], i[inside] + d - 4]
+        # a rounding of a subnormal entry is absolute, far below the smallest normal
+        bound = 1e-13 * np.abs(dense).max() + np.finfo(float).tiny
+        assert np.abs(powers[j] - taps).max() <= bound
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """The law of every propagator a run builds."""
+    calls = []
+    for name in ("_staged_step", "_polynomial_step"):
+        def spy(band, x0, model, *args, make=getattr(lindblad, name)):
+            calls.append(model.law)
+            return make(band, x0, model, *args)
+        monkeypatch.setattr(lindblad, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("model", [CONSTANT, SCALED, FEEDBACK],
+                         ids=["constant", "scaled", "feedback"])
+def test_a_run_of_no_steps_builds_no_step_operator(model, build_calls):
+    for t_end in (0.0, 0.01):
+        integrate(number_state(3, 24), model, IntegratorConfig(dt=0.01, t_end=t_end))
+        evolve_populations(thermal_state(1.0, 24).diagonal().real, model,
+                           IntegratorConfig(dt=0.01, t_end=t_end))
+    # only the two one-step runs built one
+    assert build_calls == [model.law] * 2
+
+
+def test_runs_share_the_cached_generator_and_nothing_else():
+    # two runs at one dim read the same band and word sums; neither can
+    # write to them, and the second leaves the first's results as they were
+    dim = 40
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.05, record_every=10)
+    first = integrate(number_state(5, dim), SCALED, cfg)
+    populations = first.populations.copy()
+    second = integrate(thermal_state(3.0, dim), SCALED, cfg)
+    assert second._final[0] is first._final[0]
+    assert np.array_equal(first.populations, populations)
+    final_state = first.final_state.copy()
+    # the same run again, on a band and word sums of its own
+    lindblad._band.cache_clear()
+    lindblad._word_sums.cache_clear()
+    alone = integrate(number_state(5, dim), SCALED, cfg)
+    assert alone._final[0] is not first._final[0]
+    assert np.array_equal(alone.populations, populations)
+    assert np.array_equal(alone.final_state, final_state)
+    band = lindblad._band(dim, (0,))
+    for cached in (band.offsets, band.mask, band.levels, band.taps, *band.lower,
+                   lindblad._word_sums(dim)):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[...] = 0
