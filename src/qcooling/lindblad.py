@@ -41,19 +41,23 @@ Under CONSTANT and SCALED one RK4 step is a degree-4 polynomial in dt A,
 one nine-tap operator, the one operator stored taps-first
 (:func:`_polynomial_step`), whose taps a step sums with one product with
 ones.  On the k = 0 chain alone (every diagonal state, and the ladder)
-the powers of dt A are one matrix product of their rate weights with the
-rate-free sums of the words in D and U (:func:`_word_sums`), which are
-kept for the most recent dim; the band of each recent (dim, offsets) is
-kept too, read-only.  A FEEDBACK stage dots its rates, read off its
-state's mean, with the products of the four planes and views of its
-state.  That mean follows from scalars, as
-levels.(A x) = -g_down n + g_up (n + trace - dim x_top) on the truncated
-chain (the last term is the wall).  Both propagators share one call shape,
-``advance(n0, n1)``, which runs steps n0 + 1 .. n1, and a run calls it once
-per interval between its events: the recorded steps, every 100th step and
-the last, where it samples and checkpoints.  The README gives the step's
-measured stability limit; a step beyond it blows up, and the next
-checkpoint raises IntegrationError, naming the blow-up.
+the powers of dt A are a matrix product of their rate weights with the
+rate-free sums of the words in D and U, one shared prefix of them for
+every dim (:class:`_WordSums`) with the wall's top rows patched in; the
+band of each recent (dim, offsets) is kept too, read-only.  A FEEDBACK
+stage dots its rates, read off its state's mean, with the products of
+the four planes and views of its state.  That mean follows from scalars,
+as levels.(A x) = -g_down n + g_up (n + trace - dim x_top) on the
+truncated chain (the last term is the wall).  Both propagators share one
+call shape, ``advance(n0, n1)``, which runs steps n0 + 1 .. n1, and a run
+calls it once per interval between its events: the recorded steps, every
+100th step and the last, where it samples and checkpoints.  A one-row
+state is stepped, and its operator built, only on the window of levels
+that can carry an entry above ``_NEGLIGIBLE`` before the next of its
+checks, every ``_WINDOW_EVERY`` steps (:func:`_windowed`); past it the
+state stays exactly 0.  The README gives the step's measured stability
+limit; a step beyond it blows up, and the next checkpoint raises
+IntegrationError, naming the blow-up.
 """
 
 from __future__ import annotations
@@ -116,6 +120,8 @@ _CHECK_EVERY = 100
 # a checkpoint leaves out a level whose entries are all at most this in
 # modulus; zeroing them moves no eigenvalue by more than sqrt(2) dim times it
 _NEGLIGIBLE = 1e-30
+# steps between the checks of the window of live levels a run steps on
+_WINDOW_EVERY = 16
 
 
 @dataclass
@@ -401,19 +407,26 @@ _WORD_D, _WORD_U = np.array([(a, j - a) for j in range(5) for a in range(j, -1, 
 _POWER_OF_WORD = np.equal.outer(np.arange(5), _WORD_D + _WORD_U)
 
 
-@lru_cache(maxsize=1)
-def _word_sums(dim: int) -> np.ndarray:
+def _chain_word_sums(lo: int, n: int, wall: bool) -> np.ndarray:
     """S[w] for each word w = (a, b) = (``_WORD_D[w]``, ``_WORD_U[w]``): the
-    sum of all products of a factors D and b factors U on the dim-level
-    k = 0 chain, as nine taps (``S[w, d, i]`` multiplying x[i + d - 4]),
-    read-only and flat, shape (15, 9 dim).  They do not depend on the
-    rates: (g_down D + g_up U)^j is the sum of g_down^a g_up^b S[(a, b)]
-    over a + b = j.  S[(a, b)] = D S[(a - 1, b)] + U S[(a, b - 1)], built
-    for all words of one length at once."""
-    (d_diag, d_up), (u_low, u_diag) = _band(dim, (0,)).taps[:, :, 0]
-    S = np.zeros((15, 9, dim))
+    sum of all products of a factors D and b factors U on the k = 0 chain's
+    levels lo .. lo + n - 1, as nine taps (``S[w, d, i]`` multiplying
+    x[i + d - 4]), shape (15, 9, n), read-only.  Without the wall, a+ keeps
+    the top level.  They do not depend on the rates:
+    (g_down D + g_up U)^j is the sum of g_down^a g_up^b S[(a, b)] over
+    a + b = j.  A word reads at most 4 levels either side of its row, so
+    the rows at least 4 from both ends of the levels are those of any
+    longer chain, and the wall, which changes only U's top diagonal entry,
+    reaches the top 4 rows alone.  S[(a, b)] = D S[(a - 1, b)] +
+    U S[(a, b - 1)], built for all words of one length at once."""
+    i = np.arange(lo, lo + n, dtype=float)
+    # the entries [i, i] and [i, i + 1] of D and [i, i - 1] and [i, i] of U
+    d_diag, d_up, u_low, u_diag = -i, i + 1.0, i, -(i + 1.0)
+    if wall:
+        u_diag[-1] = 0.0
+    S = np.zeros((15, 9, n))
     S[0, 4] = 1.0
-    term = np.empty((4, 9, dim))
+    term = np.empty((4, 9, n))
     for j in range(1, 5):
         # D and U times the j words x of length j - 1 give the words of
         # length j that start at w and at w + 1
@@ -425,16 +438,59 @@ def _word_sums(dim: int) -> np.ndarray:
         S[w + 1:w + j + 1] += t
         np.multiply(u_low[1:], x[:, 1:, :-1], out=t[:, :-1, 1:])
         S[w + 1:w + j + 1, :-1, 1:] += t[:, :-1, 1:]
-    S = S.reshape(15, -1)
     S.flags.writeable = False
     return S
 
 
-def _chain_powers(dim: int, g_down: float, g_up: float) -> np.ndarray:
-    """(g_down D + g_up U)^j on the dim-level k = 0 chain for j = 0 .. 4,
-    as nine taps each, shape (5, 9 dim): the sum of g_down^a g_up^b
-    S[(a, b)] over a + b = j (:func:`_word_sums`), as one matrix product."""
-    return np.dot(_POWER_OF_WORD * (g_down ** _WORD_D * g_up ** _WORD_U), _word_sums(dim))
+class _WordSums:
+    """One prefix of the word sums of the k = 0 chain without its wall
+    (:func:`_chain_word_sums`), shared by every dim and window.  A call for
+    the first ``hi`` rows of the dim-level chain (hi <= dim - 4 or
+    hi = dim) grows a prefix shorter than min(hi + 4, dim) levels to at
+    least that, and to twice its length but not past dim, and returns a
+    read-only view of its first hi rows, the dim-level chain's but for
+    the top 4 when hi = dim (:func:`_wall_sums`)."""
+
+    def __init__(self):
+        self.sums = np.zeros((15, 9, 0))
+
+    def __call__(self, dim: int, hi: int) -> np.ndarray:
+        n = self.sums.shape[2]
+        if n < min(hi + 4, dim):
+            self.sums = _chain_word_sums(0, max(min(hi + 4, dim), min(2 * n, dim)), False)
+        return self.sums[:, :, :hi]
+
+
+_word_sums = _WordSums()
+
+
+@lru_cache(maxsize=16)
+def _wall_sums(dim: int) -> np.ndarray:
+    """The word sums of the top m = min(4, dim) rows of the dim-level chain,
+    with its wall, built on its top 8 levels, tap by tap: a read-only
+    (9, 15, m) array."""
+    lo = max(0, dim - 8)
+    S = _chain_word_sums(lo, dim - lo, True)[:, :, max(0, dim - 4) - lo:]
+    S = np.ascontiguousarray(S.transpose(1, 0, 2))
+    S.flags.writeable = False
+    return S
+
+
+def _chain_powers(dim: int, hi: int, g_down: float, g_up: float) -> np.ndarray:
+    """(g_down D + g_up U)^j on the first ``hi`` rows of the dim-level k = 0
+    chain (hi <= dim - 4 or hi = dim) for j = 0 .. 4, as nine taps each,
+    shape (5, 9, hi): the sum of g_down^a g_up^b S[(a, b)] over a + b = j,
+    one matrix product of the rate weights with each tap's word sums
+    (:class:`_WordSums`), and, for the rows that reach the wall, with
+    :func:`_wall_sums`."""
+    weights = _POWER_OF_WORD * (g_down ** _WORD_D * g_up ** _WORD_U)
+    P = np.empty((5, 9, hi))
+    by_tap = P.transpose(1, 0, 2)
+    np.matmul(weights, _word_sums(dim, hi).transpose(1, 0, 2), out=by_tap)
+    if hi == dim:
+        top = _wall_sums(dim)
+        np.matmul(weights, top, out=by_tap[:, :, dim - top.shape[2]:])
+    return P
 
 
 def _band_powers(band: _Band, g_down: float, g_up: float, chains: slice) -> np.ndarray:
@@ -500,82 +556,140 @@ def lindblad_rhs(rho: np.ndarray, t: float, model: RateModel) -> np.ndarray:
 _BUILD_ROWS = 2048
 
 
+def _window_end(x: np.ndarray) -> int:
+    """End of the window of levels [0, hi) a run steps x on until the window
+    needs to grow: 6 ``_WINDOW_EVERY`` levels past x's highest level with
+    an entry beyond ``_NEGLIGIBLE`` in modulus (4 to hold every live entry
+    until the next check, and 2 more, so that the window is not set again
+    at the next one), or all dim levels if that comes within 4 of the top
+    level, where the wall is, or x has more than one row
+    (:func:`_windowed`)."""
+    nb, dim = x.shape
+    if nb > 1 or dim < 6 * _WINDOW_EVERY + 4:
+        return dim
+    live = np.flatnonzero(np.abs(x[0]) > _NEGLIGIBLE)
+    hi = (live[-1] + 1 if live.size else 0) + 6 * _WINDOW_EVERY
+    return dim if hi > dim - 4 else int(hi)
+
+
+def _windowed(make, x0: np.ndarray):
+    """``advance(n0, n1)`` for the state x0, a propagator's own buffer,
+    whose steps ``make(hi)`` builds on its first hi levels, as a
+    ``run(n0, n1)`` that runs steps n0 + 1 .. n1 and returns the state.
+    RK4 moves an entry at most 4 levels a step, so the window holds every
+    entry above ``_NEGLIGIBLE`` for ``_WINDOW_EVERY`` steps if none lies in
+    its last 4 ``_WINDOW_EVERY`` levels.  That is checked after every
+    multiple of ``_WINDOW_EVERY`` steps, whatever intervals ``advance`` is
+    called with, until the window has all dim levels; where it fails, the
+    window is set again (:func:`_window_end`) and the steps rebuilt.  Past
+    the window the buffers stay exactly 0."""
+    dim, every = x0.shape[1], _WINDOW_EVERY
+    hi = _window_end(x0)
+    run = make(hi)
+    if hi == dim:
+        return run
+    x0[:, hi:] = 0.0
+
+    def advance(n0, n1):
+        nonlocal hi, run
+        while n0 < n1:
+            stop = n1 if hi == dim else min(n1, n0 - n0 % every + every)
+            x = run(n0, stop)
+            n0 = stop
+            if hi < dim and not n0 % every and np.abs(x[0, hi - 4 * every:hi]).max() > _NEGLIGIBLE:
+                hi = _window_end(x)
+                run = make(hi)
+        return x
+
+    return advance
+
+
 def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
     """RK4 steps whose stage rates read the stage state, starting from x0;
-    ``advance(n0, n1)`` runs steps n0 + 1 .. n1 and returns the state.
-    The state and the stage state are the buffers of :func:`_shifted`.
+    ``advance(n0, n1)`` runs steps n0 + 1 .. n1 on the window of live
+    levels (:func:`_windowed`) and returns the state.  The state and the
+    stage state are the buffers of :func:`_shifted`.
     Stage s multiplies the four planes of ``band.taps`` with the views of
     its input they read, and dots the products with w_s (g_down, g_down,
     g_up, g_up): its rates at t + c_s for its input's mean n_s, weighed by
     the next stage's c (dt/6 for the last), so a stage state is one add
     and the update one dot.  Only the first mean and the trace are read
     off the state: the next stage's mean is n + w_s levels.(A x_s), by the
-    module docstring's identity with its wall term dim x_s[0, dim - 1].
+    module docstring's identity with its wall term dim x_s[0, dim - 1],
+    which is 0 while the window ends below the top level.
     """
     nb, dim = x0.shape
-    taps = band.taps
-    prod = np.empty(taps.shape, dtype=x0.dtype)
-    prod_flat = prod.reshape(4, -1).view(float)
-    slopes = np.empty((4, nb, dim), dtype=x0.dtype)
     weights = np.array([1.0, 2.0, 1.0, 3.0]) / 3.0
-    moments = np.array([band.levels, np.ones(dim)])
     stage_rates = np.empty(4)   # w_s (g_down, g_down, g_up, g_up), filled in place
     (state, stage), _ = _shifted(x0, 3)
     # the views of each buffer; [1, 0] of the first entry reads the zero before it
-    views = [as_strided(x, taps.shape, (-x0.itemsize, x0.itemsize, *x.strides), writeable=False)
-             for x in (state, stage)]
-    state_row = state[0].real
-    slopes_flat = slopes.reshape(4, -1).view(float)
-    stage_flat = stage.reshape(-1).view(float)
-    # (c_s, w_s, the views and k = 0 row of the stage's input, the slope the
-    # input adds, the stage's own slope)
-    stages = list(zip((0.0, 0.5 * dt, 0.5 * dt, dt), (0.5 * dt, 0.5 * dt, dt, dt / 6.0),
-                      views[:1] + 3 * views[1:], [state_row] + 3 * [stage[0].real],
-                      [None, *slopes[:3]], slopes_flat))
+    views = [as_strided(x, band.taps.shape, (-x0.itemsize, x0.itemsize, *x.strides),
+                        writeable=False) for x in (state, stage)]
 
-    def advance(n0, n1):
-        dot, add, multiply, rates = np.dot, np.add, np.multiply, model.rates
-        for n in range(n0 + 1, n1 + 1):
-            t = (n - 1) * dt
-            n_bar, trace = dot(moments, state_row).tolist()
-            n_s = n_bar
-            for c, w, x_views, row, prev, k in stages:
-                if c:
-                    add(state, prev, out=stage)
-                g_down, g_up = rates(t + c, n_s)
-                stage_rates[0] = stage_rates[1] = w * g_down
-                stage_rates[2] = stage_rates[3] = w * g_up
-                multiply(taps, x_views, out=prod)
-                dot(stage_rates, prod_flat, out=k)
-                n_s = n_bar + w * (g_up * (n_s + trace - dim * row.item(-1)) - g_down * n_s)
-            dot(weights, slopes_flat, out=stage_flat)
-            add(state, stage, out=state)
-        return state
+    def make(hi):
+        taps = band.taps[..., :hi]
+        prod = np.empty(taps.shape, dtype=x0.dtype)
+        prod_flat = prod.reshape(4, -1).view(float)
+        slopes = np.empty((4, nb, hi), dtype=x0.dtype)
+        moments = np.array([band.levels[:hi], np.ones(hi)])
+        x, y = state[:, :hi], stage[:, :hi]
+        state_row = x[0].real
+        slopes_flat = slopes.reshape(4, -1).view(float)
+        stage_flat = y.reshape(-1).view(float)
+        # (c_s, w_s, the views and whole k = 0 row of the stage's input, the
+        # slope the input adds, the stage's own slope)
+        stages = list(zip((0.0, 0.5 * dt, 0.5 * dt, dt), (0.5 * dt, 0.5 * dt, dt, dt / 6.0),
+                          [v[..., :hi] for v in views[:1] + 3 * views[1:]],
+                          [state[0].real] + 3 * [stage[0].real],
+                          [None, *slopes[:3]], slopes_flat))
 
-    return advance
+        def run(n0, n1):
+            dot, add, multiply, rates = np.dot, np.add, np.multiply, model.rates
+            for n in range(n0 + 1, n1 + 1):
+                t = (n - 1) * dt
+                n_bar, trace = dot(moments, state_row).tolist()
+                n_s = n_bar
+                for c, w, x_views, row, prev, k in stages:
+                    if c:
+                        add(x, prev, out=y)
+                    g_down, g_up = rates(t + c, n_s)
+                    stage_rates[0] = stage_rates[1] = w * g_down
+                    stage_rates[2] = stage_rates[3] = w * g_up
+                    multiply(taps, x_views, out=prod)
+                    dot(stage_rates, prod_flat, out=k)
+                    n_s = n_bar + w * (g_up * (n_s + trace - dim * row.item(-1)) - g_down * n_s)
+                dot(weights, slopes_flat, out=stage_flat)
+                add(x, y, out=x)
+            return state
+
+        return run
+
+    return _windowed(make, state)
 
 
 def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
                      dt: float, n_steps: int):
     """RK4 steps for a generator f(t) A, starting from x0; ``advance(n0, n1)``
-    runs steps n0 + 1 .. n1 and returns the state.
+    runs steps n0 + 1 .. n1 on the window of live levels [0, hi)
+    (:func:`_windowed`) and returns the state.
 
     The four stages compose to x <- sum_j c_j (dt A)^j x, with f1, f2, f3
     the scale at t, t + dt/2 and t + dt:
     c = (1, (f1 + 4 f2 + f3)/6, f2 (f1 + f2 + f3)/6, f2^2 (f1 + f3)/12,
     f1 f2^2 f3/24), which is (1, f2, f2^2/2, f2^3/6, f1 f2^2 f3/24) for
     a scale linear in t, as both laws' are.  P[j] holds the nine taps of
-    (dt A)^j.  A state on the k = 0 chain alone takes them from the cached
-    word sums (:func:`_chain_powers`), one (5 x 15) by (15 x 9 dim)
-    product; any other builds them one factor at a time
-    (:func:`_band_powers`) for ``_BUILD_ROWS // dim`` stored diagonals at
-    a time, the blocks of rows in which the operator is also applied.
+    (dt A)^j on the window, built again whenever it grows.  A state on the
+    k = 0 chain alone takes them from the shared word sums
+    (:func:`_chain_powers`), one (5 x 15) by (15 x hi) product per tap;
+    any other, whose window is all dim levels, builds them one factor at a
+    time (:func:`_band_powers`) for ``_BUILD_ROWS // dim`` stored diagonals
+    at a time, the blocks of rows in which the operator is also applied.
     CONSTANT, whose c are five scalars, keeps only sum_j c_j P[j].
     SCALED, whose c_j change every step, keeps
     the five powers B and builds the operators of ``span`` consecutive
     steps at once, as one matrix product of their c with B, so that a step
     is one product and one sum over the taps, as under CONSTANT.  ``span``
-    is ``_BUILD_ROWS // (rows dim)`` (at least 1), so a state of more than
+    is ``_BUILD_ROWS // (rows hi)`` (at least 1), so a state of more than
     one block of rows builds one operator per step.  The blocks of steps
     start at the multiples of ``span``, whatever n0 is, so the intervals a
     run is advanced in change no bit.  The state alternates between the
@@ -590,56 +704,61 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     f22 = f2 * f2
     coeffs = np.array([np.ones_like(f2), f2, 0.5 * f22, f22 * f2 / 6.0,
                        f1 * f3 * f22 / 24.0]).T
-    B = None if coeffs.ndim == 1 else np.empty((5, 9, nb, dim))
-    span = max(1, min(n_steps, _BUILD_ROWS // (nb * dim)))
-    ops = np.empty((1 if B is None else span, 9, nb, dim))
-    size = max(1, _BUILD_ROWS // dim)
-    blocks = [slice(lo, min(lo + size, nb)) for lo in range(0, nb, size)]
-    for chains in blocks:
-        P = (_chain_powers(dim, g_down, g_up) if nb == 1
-             else _band_powers(band, g_down, g_up, chains))
-        if B is None:
-            ops[0][:, chains] = np.dot(coeffs, P.reshape(5, -1)).reshape(9, -1, dim)
-        else:
-            B[:, :, chains] = P.reshape(5, 9, -1, dim)
-    if B is not None:
-        B, ops_flat = B.reshape(5, -1), ops.reshape(span, -1)
-
     states, views = _shifted(x0, 9)
-    prod = np.empty((9, min(size, nb), dim), dtype=x0.dtype)
     ones = np.ones(9)
-    # the input views, product, and the product and output as floats (for
-    # the tap sum, a product with ones) of each block of rows, for a step
-    # that reads the state in buffer 0 and for one that reads buffer 1
-    rows = [[(views[s][:, r], prod[:, :r.stop - r.start],
-              prod[:, :r.stop - r.start].reshape(9, -1).view(float),
-              states[1 - s][r].reshape(-1).view(float)) for r in blocks]
-            for s in (0, 1)]
-    nr = len(blocks)
-    parity = (rows[0] + rows[1]) * (span // 2 + 1)
-    # step lo + k + 1 of a block of steps applies the k-th run of nr views in
-    # op_seq, one per block of rows
-    op_seq = list(chain.from_iterable(zip(*[ops[:, :, r] for r in blocks])))
-    op_seq *= span if B is None else 1
-    built = None
 
-    def advance(n0, n1):
-        nonlocal built
-        multiply, dot = np.multiply, np.dot
-        for lo in range(n0 - n0 % span, n1, span):
-            if B is not None and lo != built:
-                c = coeffs[lo:lo + span]
-                dot(c, B, out=ops_flat[:len(c)])
-                built = lo
-            k = max(n0 - lo, 0)
-            # step n + 1 reads the state in buffer n % 2 and writes the other one
-            for op_r, (x_r, prod_r, terms, out) in zip(op_seq[k * nr:(n1 - lo) * nr],
-                                                       parity[(lo + k) % 2 * nr:]):
-                multiply(op_r, x_r, prod_r)
-                dot(ones, terms, out)
-        return states[n1 % 2]
+    def make(hi):
+        B = None if coeffs.ndim == 1 else np.empty((5, 9, nb, hi))
+        span = max(1, min(n_steps, _BUILD_ROWS // (nb * hi)))
+        ops = np.empty((1 if B is None else span, 9, nb, hi))
+        size = max(1, _BUILD_ROWS // hi)
+        blocks = [slice(lo, min(lo + size, nb)) for lo in range(0, nb, size)]
+        for chains in blocks:
+            P = (_chain_powers(dim, hi, g_down, g_up) if nb == 1
+                 else _band_powers(band, g_down, g_up, chains))
+            if B is None:
+                ops[0][:, chains] = np.dot(coeffs, P.reshape(5, -1)).reshape(9, -1, hi)
+            else:
+                B[:, :, chains] = P.reshape(5, 9, -1, hi)
+        if B is not None:
+            B, ops_flat = B.reshape(5, -1), ops.reshape(span, -1)
 
-    return advance
+        prod = np.empty((9, min(size, nb), hi), dtype=x0.dtype)
+        # the input views, product, and the product and output as floats (for
+        # the tap sum, a product with ones) of each block of rows, for a step
+        # that reads the state in buffer 0 and for one that reads buffer 1; a
+        # window short of dim has one row, so its output is contiguous
+        rows = [[(views[s][:, r, :hi], prod[:, :r.stop - r.start],
+                  prod[:, :r.stop - r.start].reshape(9, -1).view(float),
+                  states[1 - s][r, :hi].reshape(-1).view(float)) for r in blocks]
+                for s in (0, 1)]
+        nr = len(blocks)
+        parity = (rows[0] + rows[1]) * (span // 2 + 1)
+        # step lo + k + 1 of a block of steps applies the k-th run of nr views
+        # in op_seq, one per block of rows
+        op_seq = list(chain.from_iterable(zip(*[ops[:, :, r] for r in blocks])))
+        op_seq *= span if B is None else 1
+        built = None
+
+        def run(n0, n1):
+            nonlocal built
+            multiply, dot = np.multiply, np.dot
+            for lo in range(n0 - n0 % span, n1, span):
+                if B is not None and lo != built:
+                    c = coeffs[lo:lo + span]
+                    dot(c, B, out=ops_flat[:len(c)])
+                    built = lo
+                k = max(n0 - lo, 0)
+                # step n + 1 reads the state in buffer n % 2 and writes the other one
+                for op_r, (x_r, prod_r, terms, out) in zip(op_seq[k * nr:(n1 - lo) * nr],
+                                                           parity[(lo + k) % 2 * nr:]):
+                    multiply(op_r, x_r, prod_r)
+                    dot(ones, terms, out)
+            return states[n1 % 2]
+
+        return run
+
+    return _windowed(make, states[0])
 
 
 def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig,
@@ -649,7 +768,11 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
     and the final diagonals.  A linear law steps by
     :func:`_polynomial_step`, FEEDBACK by :func:`_staged_step`, in one
     ``advance`` call per interval between events: the recorded steps,
-    every ``_CHECK_EVERY``-th step and the last.  A sample keeps the
+    every ``_CHECK_EVERY``-th step and the last.  A one-row state is
+    stepped on its window of live levels only (:func:`_windowed`), which
+    grows at fixed steps inside ``advance``, whatever the events; every
+    level past it is exactly 0, and every sample and checkpoint reads all
+    dim levels, so each array keeps its shape.  A sample keeps the
     populations and the purity (each k > 0 diagonal counted twice, for its
     k < 0 mirror); the mean, trace and rate flags of all samples are
     evaluated on arrays after the loop.  A checkpoint first calls a state

@@ -806,17 +806,26 @@ def test_coherent_checkpoints_diagonalize_blocks_only(eigvalsh_calls):
 
 
 def test_coherent_checkpoint_leaves_out_negligible_tail(eigvalsh_calls):
-    # offsets {0, 1} have gcd 1, so the state is one block; after 30 steps
-    # 126 levels are nonzero, but all beyond the first ~24 hold entries
-    # below 1e-30, which the checkpoint leaves out
-    dim = 200
-    rho0 = _pure_state({4: 1.0, 5: 1.0j}, dim)
-    traj = integrate(rho0, CONSTANT, IntegratorConfig(dt=2.5e-4, t_end=30 * 2.5e-4))
-    assert np.count_nonzero(np.any(traj.final_state != 0, axis=0)) > 100
-    assert eigvalsh_calls[0] == (2, 2)
-    assert all(shape[0] < 50 for shape in eigvalsh_calls[1:])
-    dense = np.linalg.eigvalsh(traj.final_state).min()
-    assert abs(traj.min_eigenvalues[-1] - dense) <= 1e-14
+    # offsets {0, 1} have gcd 1, so the entries are one block: 24 levels
+    # with entries of order 1 and a tail of 176 levels whose entries are all
+    # below 1e-30, down to subnormal numbers, which the checkpoint's minimum
+    # eigenvalue leaves out
+    dim, live = 200, 24
+    rng = np.random.default_rng(7)
+    level = np.arange(dim)
+    scale = np.where(level < live, 1.0, 1e-31 * 0.025 ** (level - live).clip(0))
+    diagonal = rng.normal(size=dim) * scale
+    below = (rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)) * scale[1:]
+    rows, cols = np.append(level, level[1:]), np.append(level, level[:-1])
+    values = np.append(diagonal, below)
+    tail = values[rows >= live]
+    assert np.count_nonzero(tail) > 100
+    assert np.abs(tail).max() < 1e-30
+    assert np.abs(tail[tail != 0]).min() < np.finfo(float).tiny
+    got = lindblad._min_eigenvalue(dim, 1, rows, cols, values, lindblad._NEGLIGIBLE)
+    assert eigvalsh_calls == [(live, live)]
+    dense = np.diag(diagonal.astype(complex)) + np.diag(below, -1) + np.diag(below.conj(), 1)
+    assert abs(got - np.linalg.eigvalsh(dense).min()) <= 1e-14
 
 
 @pytest.fixture
@@ -835,44 +844,120 @@ def advance_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def windows(monkeypatch):
+    """The end of every window of live levels a run sets."""
+    ends = []
+
+    def spy(x, end=lindblad._window_end):
+        ends.append(end(x))
+        return ends[-1]
+    monkeypatch.setattr(lindblad, "_window_end", spy)
+    return ends
+
+
 @pytest.mark.parametrize("model", [CONSTANT, SCALED, FEEDBACK],
                          ids=["constant", "scaled", "feedback"])
-def test_sampling_does_not_perturb_stepping(model, advance_calls):
+def test_sampling_does_not_perturb_stepping(model, advance_calls, windows):
     # one propagator call runs each interval between samples and checkpoints;
     # where the intervals fall must change no bit, in particular not which
-    # step's rate scale SCALED reads at an interval's edges
-    rho0 = _pure_state({2: 1.0, 5: 1.0j}, 24)
-    dt, steps = 1e-3, 257
-    runs = {}
-    for every in (1, 7, 30):
-        advance_calls.clear()
-        runs[every] = integrate(rho0, model, IntegratorConfig(dt=dt, t_end=steps * dt,
-                                                              record_every=every))
-        events = sorted({*range(0, steps, every), *range(0, steps, 100), steps})
-        assert advance_calls == list(zip(events, events[1:]))
-    full = runs[1]
-    for every, traj in runs.items():
-        recorded = np.append(np.arange(0, steps, every), steps)
-        assert np.array_equal(traj.populations, full.populations[recorded])
-        assert np.array_equal(traj.purity, full.purity[recorded])
-        assert np.array_equal(traj.min_eigenvalues, full.min_eigenvalues)
-        assert np.array_equal(traj.final_state, full.final_state)
+    # step's rate scale SCALED reads at an interval's edges, nor where the
+    # window of live levels of the Fock start grows
+    steps, set_windows = 257, []
+    for rho0, dt in ((_pure_state({2: 1.0, 5: 1.0j}, 24), 1e-3), (number_state(10, 300), 3e-4)):
+        runs, ends = {}, {}
+        for every in (1, 7, 30):
+            advance_calls.clear()
+            windows.clear()
+            runs[every] = integrate(rho0, model, IntegratorConfig(dt=dt, t_end=steps * dt,
+                                                                  record_every=every))
+            ends[every] = windows.copy()
+            events = sorted({*range(0, steps, every), *range(0, steps, 100), steps})
+            assert advance_calls == list(zip(events, events[1:]))
+        full = runs[1]
+        for every, traj in runs.items():
+            recorded = np.append(np.arange(0, steps, every), steps)
+            assert np.array_equal(traj.populations, full.populations[recorded])
+            assert np.array_equal(traj.purity, full.purity[recorded])
+            assert np.array_equal(traj.min_eigenvalues, full.min_eigenvalues)
+            assert np.array_equal(traj.final_state, full.final_state)
+            assert ends[every] == ends[1]
+        set_windows.append(ends[1])
+    # the coherent start steps on all its levels; the Fock start's window grew
+    coherent, fock = set_windows
+    assert coherent == [24]
+    assert len(fock) > 1 and fock[-1] < 300
+
+
+# --- the window of live levels ------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(law=st.sampled_from(list(RateLaw)), level=st.integers(0, 10),
+       second=st.none() | st.integers(0, 10), dim=st.integers(100, 400),
+       n_res=st.floats(0.5, 5.0), courant=st.floats(0.2, 1.0), steps=st.integers(1, 300))
+# fronts that pass the first window's slack, so the window grows mid-run
+@example(law=RateLaw.FEEDBACK, level=10, second=None, dim=300, n_res=0.5, courant=1.0,
+         steps=300)
+@example(law=RateLaw.SCALED, level=3, second=None, dim=400, n_res=5.0, courant=1.0, steps=300)
+# a superposition, stepped on all its levels
+@example(law=RateLaw.CONSTANT, level=0, second=7, dim=100, n_res=2.0, courant=1.0, steps=300)
+def test_live_window_matches_rk4_on_all_levels(law, level, second, dim, n_res, courant,
+                                               steps):
+    # a Fock start steps on the window of its live levels, which grows as the
+    # front of its mass moves up; a superposition of two levels steps on all
+    # of them; both against RK4 on every level of the explicit generator
+    model = RateModel(law=law, gamma=GAMMA, n_res=n_res)
+    if second is not None and second != level:
+        # the dense products cost dim^3 a stage
+        dim, steps = min(dim, 120), min(steps, 6)
+    dt = courant / (2 * dim * GAMMA * (1 + 2 * n_res))
+    if law is RateLaw.FEEDBACK:
+        dt = min(dt, 0.9 / (GAMMA * steps))   # the law holds for t < 1/gamma
+    cfg = IntegratorConfig(dt=dt, t_end=steps * dt, record_every=steps)
+    if second is None or second == level:
+        p0 = number_state(level, dim).diagonal().real
+        traj = evolve_populations(p0, model, cfg)
+        expect = _staged_rk4_on_explicit_ladder(p0, model, dt, steps)
+    else:
+        rho0 = _pure_state({level: 1.0, second: 1.0j}, dim)
+        traj = integrate(rho0, model, cfg)
+        expect = _explicit_rk4(rho0, model, dt, steps).diagonal().real
+    assert np.abs(traj.populations[-1] - expect).max() < 1e-12
+
+
+def test_levels_past_the_window_stay_exactly_zero(windows):
+    # 1000 steps from Fock 8 at dim 800: RK4 on all 800 levels would leave
+    # 329 of them nonzero, 15 subnormal, far past the 44 live ones; the
+    # window does not step them, so every level past it ends exactly 0
+    p0 = number_state(8, 800).diagonal().real
+    traj = evolve_populations(p0, CONSTANT, IntegratorConfig(dt=5e-5, t_end=0.05))
+    p = traj.populations[-1]
+    assert windows[-1] < 800
+    assert not p[windows[-1]:].any()
+    assert np.flatnonzero(p > lindblad._NEGLIGIBLE)[-1] < windows[-1] - 4 * lindblad._WINDOW_EVERY
+    assert not np.any((p != 0) & (np.abs(p) < np.finfo(float).tiny))
 
 
 # --- setup: the cached generator and the word sums -------------------------
 
 @settings(max_examples=60, deadline=None)
-@given(dim=st.integers(2, 60), g_down=st.floats(0.0, 5.0), g_up=st.floats(0.0, 5.0),
-       dt=st.floats(1e-4, 1.0))
-@example(dim=2, g_down=0.0, g_up=0.0, dt=1.0)
-def test_word_sums_give_the_powers_of_the_population_generator(dim, g_down, g_up, dt):
+@given(dim=st.integers(2, 60), hi=st.integers(1, 60), g_down=st.floats(0.0, 5.0),
+       g_up=st.floats(0.0, 5.0), dt=st.floats(1e-4, 1.0))
+@example(dim=2, hi=2, g_down=0.0, g_up=0.0, dt=1.0)
+# a window 4 levels short of the wall, and the whole chain
+@example(dim=40, hi=36, g_down=1.0, g_up=2.0, dt=0.01)
+@example(dim=40, hi=40, g_down=1.0, g_up=2.0, dt=0.01)
+def test_word_sums_give_the_powers_of_the_population_generator(dim, hi, g_down, g_up, dt):
     # (dt A)^j for the k = 0 chain, written densely from the dissipator's
-    # matrix elements, against the weighted word sums the step builds from
+    # matrix elements, against the weighted word sums the step builds from,
+    # on a window of its first hi levels (hi <= dim - 4) or on all of them
+    hi = dim if hi > dim - 4 else hi
     model = SimpleNamespace(rates=lambda t, n_sys: (g_down, g_up))
     step = np.zeros((dim, dim))
     for level in range(dim):
         step[:, level] = dt * lindblad_rhs(number_state(level, dim), 0.0, model).diagonal().real
-    powers = lindblad._chain_powers(dim, dt * g_down, dt * g_up).reshape(5, 9, dim)
+    powers = lindblad._chain_powers(dim, hi, dt * g_down, dt * g_up)
+    assert powers.shape == (5, 9, hi)
     i = np.arange(dim)
     for j in range(5):
         dense = np.linalg.matrix_power(step, j)
@@ -882,7 +967,7 @@ def test_word_sums_give_the_powers_of_the_population_generator(dim, g_down, g_up
             taps[d, inside] = dense[i[inside], i[inside] + d - 4]
         # a rounding of a subnormal entry is absolute, far below the smallest normal
         bound = 1e-13 * np.abs(dense).max() + np.finfo(float).tiny
-        assert np.abs(powers[j] - taps).max() <= bound
+        assert np.abs(powers[j] - taps[:, :hi]).max() <= bound
 
 
 @pytest.fixture
@@ -908,7 +993,7 @@ def test_a_run_of_no_steps_builds_no_step_operator(model, build_calls):
     assert build_calls == [model.law] * 2
 
 
-def test_runs_share_the_cached_generator_and_nothing_else():
+def test_runs_share_the_cached_generator_and_nothing_else(monkeypatch):
     # two runs at one dim read the same band and word sums; neither can
     # write to them, and the second leaves the first's results as they were
     dim = 40
@@ -921,13 +1006,35 @@ def test_runs_share_the_cached_generator_and_nothing_else():
     final_state = first.final_state.copy()
     # the same run again, on a band and word sums of its own
     lindblad._band.cache_clear()
-    lindblad._word_sums.cache_clear()
+    lindblad._wall_sums.cache_clear()
+    monkeypatch.setattr(lindblad, "_word_sums", lindblad._WordSums())
     alone = integrate(number_state(5, dim), SCALED, cfg)
     assert alone._final[0] is not first._final[0]
     assert np.array_equal(alone.populations, populations)
     assert np.array_equal(alone.final_state, final_state)
     band = lindblad._band(dim, (0,))
     for cached in (band.offsets, band.mask, band.levels, band.taps, *band.lower,
-                   lindblad._word_sums(dim)):
+                   lindblad._word_sums(dim, dim), lindblad._wall_sums(dim)):
         with pytest.raises(ValueError, match="read-only"):
             cached[...] = 0
+
+
+def test_word_sums_are_one_prefix_shared_by_every_dim(monkeypatch):
+    # thermal starts whose windows reach the wall at dims 400, 800, 400 and
+    # 200: the wall-free sums are built once and grown once, to 800 levels
+    # (864 KB), and each dim builds the sums of its top levels
+    built = []
+
+    def spy(lo, n, wall, build=lindblad._chain_word_sums):
+        built.append((lo, n, wall))
+        return build(lo, n, wall)
+    monkeypatch.setattr(lindblad, "_chain_word_sums", spy)
+    monkeypatch.setattr(lindblad, "_word_sums", lindblad._WordSums())
+    lindblad._wall_sums.cache_clear()
+    cfg = IntegratorConfig(dt=1e-5, t_end=2e-5)
+    for dim in (400, 800, 400, 200):
+        p0 = (20.0 / 21.0) ** np.arange(dim)
+        evolve_populations(p0 / p0.sum(), CONSTANT, cfg)
+    assert [b for b in built if not b[2]] == [(0, 400, False), (0, 800, False)]
+    assert [b for b in built if b[2]] == [(392, 8, True), (792, 8, True), (192, 8, True)]
+    assert lindblad._word_sums.sums.nbytes == 864_000
