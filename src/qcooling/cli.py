@@ -10,6 +10,7 @@ so repeated runs are bit-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .checks import SUITES, run_suites
@@ -92,6 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _occupation_inputs(args) -> tuple[float, float]:
     """Resolve (n0, n_res) from occupation- or temperature-mode flags."""
     if args.n0 is not None:
+        if not (math.isfinite(args.n0) and args.n0 >= 0):
+            raise ValueError(f"--n0 must be >= 0 and finite, got {args.n0}")
         return args.n0, args.nr
     if args.map_kind is None or args.theta0 is None:
         raise ValueError(

@@ -41,10 +41,10 @@ Under CONSTANT and SCALED one RK4 step is a degree-4 polynomial in dt A,
 one nine-tap operator, the one operator stored taps-first
 (:func:`_polynomial_step`), whose taps a step sums with one product with
 ones.  On the k = 0 chain alone (every diagonal state, and the ladder)
-the powers of dt A are a matrix product of their rate weights with the
-rate-free sums of the words in D and U, one shared prefix of them for
-every dim (:class:`_WordSums`) with the wall's top rows patched in; the
-band of each recent (dim, offsets) is kept too, read-only.  A FEEDBACK
+the powers of dt A are their rate weights times two fixed integer tables
+of the polynomials in the level that the rate-free sums of the words in
+D and U are (:func:`_chain_tables`), times the powers of the levels; the
+band of each recent (dim, offsets) is kept, read-only.  A FEEDBACK
 stage dots its rates, read off its state's mean, with the products of
 the four planes and views of its state.  That mean follows from scalars,
 as levels.(A x) = -g_down n + g_up (n + trace - dim x_top) on the
@@ -292,30 +292,34 @@ def _min_eigenvalue(dim: int, g: int, rows, cols, values, negligible: float = 0.
 
 
 def check_density_matrix(rho: np.ndarray):
-    """Raise ValueError unless rho is Hermitian, near-unit-trace, and PSD
-    within the tolerance budget.
+    """Raise ValueError unless rho is a non-empty square matrix of finite
+    entries, Hermitian, near-unit-trace, and PSD within the tolerance budget.
 
     Returns the offsets k >= 0 of rho's nonzero diagonals, ascending (0
     among them), and its minimum eigenvalue, computed block by block
     (:func:`_min_eigenvalue`; a diagonal rho needs no ``eigvalsh``).
-    Hermiticity is checked over the nonzero entries only: a zero entry
-    with a zero mirror adds nothing.  A diagonal rho, which has no entry
-    off its diagonal, is read off its diagonal alone, not by an index scan
-    of all dim^2 entries; a population's asymmetry is twice its imaginary
-    part.
+    Finiteness and Hermiticity are checked over the nonzero entries only:
+    a zero entry with a zero mirror adds nothing.  A diagonal rho, which
+    has no entry off its diagonal, is read off its diagonal alone, not by
+    an index scan of all dim^2 entries; a population's asymmetry is twice
+    its imaginary part.
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     dim = len(rho)
+    if not dim:
+        raise ValueError("density matrix is empty (0 x 0)")
     diagonal = rho.diagonal()
     # every entry off the diagonal, as rows of dim + 1 flat entries less the last
     if rho.reshape(-1)[1:].reshape(dim - 1, dim + 1)[:, :dim].any():
         rows, cols = np.nonzero(rho != 0)
         values = rho[rows, cols]
-        herm = np.abs(values - rho[cols, rows].conj()).max(initial=0.0)
     else:
-        rows = None
-        herm = 2.0 * np.abs(diagonal.imag).max()
+        rows, values = None, diagonal
+    if not np.isfinite(values).all():
+        raise ValueError("density matrix has an entry that is not finite")
+    herm = (2.0 * np.abs(diagonal.imag).max() if rows is None
+            else np.abs(values - rho[cols, rows].conj()).max())
     if not herm <= _HERM_TOL:
         raise ValueError(f"not Hermitian: max asymmetry {herm:g} > {_HERM_TOL:g}")
     tr = float(np.real(np.trace(rho)))
@@ -366,7 +370,9 @@ class _Band:
         top = i + k
         self.mask = inside = top < dim
         m = np.concatenate((np.arange(1.0, dim), np.zeros(dim)))
-        self.levels = i.astype(float)
+        # the powers 0 .. 4 of the levels, exact integers (:func:`_chain_powers`)
+        self.powers = np.ascontiguousarray(np.vander(i.astype(float), 5, increasing=True).T)
+        self.levels = self.powers[1]
         self.taps = np.zeros((2, 2, *inside.shape))
         self.taps[0, 0] = np.where(inside, -(i + 0.5 * k), 0.0)
         self.taps[1, 1] = np.where(inside, -0.5 * (m[top] + m[i]), 0.0)
@@ -375,7 +381,7 @@ class _Band:
         self.taps[1, 0, :, 1:] = self.taps[0, 1, :, :-1]
         rows, cols = np.nonzero(inside)
         self.lower = (cols + self.offsets[rows], cols)
-        for a in (self.offsets, self.mask, self.levels, self.taps, *self.lower):
+        for a in (self.offsets, self.mask, self.powers, self.levels, self.taps, *self.lower):
             a.flags.writeable = False
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
@@ -400,104 +406,13 @@ class _Band:
 # band and writes nothing to it, so runs on the same diagonals share one
 _band = lru_cache(maxsize=16)(_Band)
 
-# the 15 words of at most 4 factors of D and U, as how many of each, by length
-# j and then by falling count of D: the words of length j start at j (j + 1) / 2,
-# the m-th being (j - m, m); _POWER_OF_WORD[j] marks them
-_WORD_D, _WORD_U = np.array([(a, j - a) for j in range(5) for a in range(j, -1, -1)]).T
-_POWER_OF_WORD = np.equal.outer(np.arange(5), _WORD_D + _WORD_U)
 
-
-def _chain_word_sums(lo: int, n: int, wall: bool) -> np.ndarray:
-    """S[w] for each word w = (a, b) = (``_WORD_D[w]``, ``_WORD_U[w]``): the
-    sum of all products of a factors D and b factors U on the k = 0 chain's
-    levels lo .. lo + n - 1, as nine taps (``S[w, d, i]`` multiplying
-    x[i + d - 4]), shape (15, 9, n), read-only.  Without the wall, a+ keeps
-    the top level.  They do not depend on the rates:
-    (g_down D + g_up U)^j is the sum of g_down^a g_up^b S[(a, b)] over
-    a + b = j.  A word reads at most 4 levels either side of its row, so
-    the rows at least 4 from both ends of the levels are those of any
-    longer chain, and the wall, which changes only U's top diagonal entry,
-    reaches the top 4 rows alone.  S[(a, b)] = D S[(a - 1, b)] +
-    U S[(a, b - 1)], built for all words of one length at once."""
-    i = np.arange(lo, lo + n, dtype=float)
-    # the entries [i, i] and [i, i + 1] of D and [i, i - 1] and [i, i] of U
-    d_diag, d_up, u_low, u_diag = -i, i + 1.0, i, -(i + 1.0)
-    if wall:
-        u_diag[-1] = 0.0
-    S = np.zeros((15, 9, n))
-    S[0, 4] = 1.0
-    term = np.empty((4, 9, n))
-    for j in range(1, 5):
-        # D and U times the j words x of length j - 1 give the words of
-        # length j that start at w and at w + 1
-        x, w, t = S[(j - 1) * j // 2:j * (j + 1) // 2], j * (j + 1) // 2, term[:j]
-        np.multiply(d_diag, x, out=S[w:w + j])
-        np.multiply(d_up[:-1], x[:, :-1, 1:], out=t[:, 1:, :-1])
-        S[w:w + j, 1:, :-1] += t[:, 1:, :-1]
-        np.multiply(u_diag, x, out=t)
-        S[w + 1:w + j + 1] += t
-        np.multiply(u_low[1:], x[:, 1:, :-1], out=t[:, :-1, 1:])
-        S[w + 1:w + j + 1, :-1, 1:] += t[:, :-1, 1:]
-    S.flags.writeable = False
-    return S
-
-
-class _WordSums:
-    """One prefix of the word sums of the k = 0 chain without its wall
-    (:func:`_chain_word_sums`), shared by every dim and window.  A call for
-    the first ``hi`` rows of the dim-level chain (hi <= dim - 4 or
-    hi = dim) grows a prefix shorter than min(hi + 4, dim) levels to at
-    least that, and to twice its length but not past dim, and returns a
-    read-only view of its first hi rows, the dim-level chain's but for
-    the top 4 when hi = dim (:func:`_wall_sums`)."""
-
-    def __init__(self):
-        self.sums = np.zeros((15, 9, 0))
-
-    def __call__(self, dim: int, hi: int) -> np.ndarray:
-        n = self.sums.shape[2]
-        if n < min(hi + 4, dim):
-            self.sums = _chain_word_sums(0, max(min(hi + 4, dim), min(2 * n, dim)), False)
-        return self.sums[:, :, :hi]
-
-
-_word_sums = _WordSums()
-
-
-@lru_cache(maxsize=16)
-def _wall_sums(dim: int) -> np.ndarray:
-    """The word sums of the top m = min(4, dim) rows of the dim-level chain,
-    with its wall, built on its top 8 levels, tap by tap: a read-only
-    (9, 15, m) array."""
-    lo = max(0, dim - 8)
-    S = _chain_word_sums(lo, dim - lo, True)[:, :, max(0, dim - 4) - lo:]
-    S = np.ascontiguousarray(S.transpose(1, 0, 2))
-    S.flags.writeable = False
-    return S
-
-
-def _chain_powers(dim: int, hi: int, g_down: float, g_up: float) -> np.ndarray:
-    """(g_down D + g_up U)^j on the first ``hi`` rows of the dim-level k = 0
-    chain (hi <= dim - 4 or hi = dim) for j = 0 .. 4, as nine taps each,
-    shape (5, 9, hi): the sum of g_down^a g_up^b S[(a, b)] over a + b = j,
-    one matrix product of the rate weights with each tap's word sums
-    (:class:`_WordSums`), and, for the rows that reach the wall, with
-    :func:`_wall_sums`."""
-    weights = _POWER_OF_WORD * (g_down ** _WORD_D * g_up ** _WORD_U)
-    P = np.empty((5, 9, hi))
-    by_tap = P.transpose(1, 0, 2)
-    np.matmul(weights, _word_sums(dim, hi).transpose(1, 0, 2), out=by_tap)
-    if hi == dim:
-        top = _wall_sums(dim)
-        np.matmul(weights, top, out=by_tap[:, :, dim - top.shape[2]:])
-    return P
-
-
-def _band_powers(band: _Band, g_down: float, g_up: float, chains: slice) -> np.ndarray:
-    """(g_down D + g_up U)^j on the stored diagonals ``chains`` for
-    j = 0 .. 4, as nine taps each, shape (5, 9, rows, dim), built one
-    factor at a time."""
-    (d_diag, d_up), (u_low, u_diag) = band.taps[:, :, chains]
+def _band_powers(taps: np.ndarray, g_down, g_up) -> np.ndarray:
+    """(g_down D + g_up U)^j for j = 0 .. 4 on the chains whose planes are
+    ``taps``, shape (2, 2, rows, n) as :class:`_Band` stores them, as nine
+    taps each, shape (5, 9, rows, n), built one factor at a time; a rate
+    may also be a column of one rate per chain."""
+    (d_diag, d_up), (u_low, u_diag) = taps
     # the entries [i, i], [i, i + 1] and [i, i - 1] of every chain
     diag = g_down * d_diag + g_up * u_diag
     up, down = g_down * d_up[:, :-1], g_up * u_low[:, 1:]
@@ -507,6 +422,61 @@ def _band_powers(band: _Band, g_down: float, g_up: float, chains: slice) -> np.n
         np.multiply(P[j - 1], diag, out=P[j])
         P[j, 1:, :, :-1] += up * P[j - 1, :-1, :, 1:]
         P[j, :-1, :, 1:] += down * P[j - 1, 1:, :, :-1]
+    return P
+
+
+# the 15 words of at most 4 factors of D and U, as how many of each, by length
+# j and then by falling count of D: the words of length j start at j (j + 1) / 2,
+# the m-th being (j - m, m); _POWER_OF_WORD[j] marks them
+_WORD_D, _WORD_U = np.array([(a, j - a) for j in range(5) for a in range(j, -1, -1)]).T
+_POWER_OF_WORD = np.equal.outer(np.arange(5), _WORD_D + _WORD_U)
+
+
+def _chain_tables():
+    """Integer coefficients of the word sums S[w] of the k = 0 chain (all
+    products of ``_WORD_D[w]`` factors D and ``_WORD_U[w]`` factors U, as
+    nine taps S[w, d, i] multiplying x[i + d - 4]), polynomials of degree
+    <= 4: ``free[w, 5 d + p]`` of i^p on each row i at least 4 below the top
+    level n = dim - 1 (a path below level 0 has a zero factor), and
+    ``wall[36 w + 4 d + r, p]`` of n^p on row n - 3 + r.  The g^b
+    coefficient of (D + g U)^j is S[(j - b, b)], so both are fitted exactly
+    to :func:`_band_powers` at five g on the chains of dims 8 .. 13: at
+    levels 4 .. 8 of the last and the top 4 rows of the others.  Read-only."""
+    g, dims = np.arange(5.0), range(8, 14)
+
+    def fit(x, y):
+        # the coefficients of the polynomials of degree <= 4 through y at g + x
+        return np.dot(np.linalg.inv(np.vander(g + x, increasing=True)), y)
+
+    # five rows of each chain, zero past its top level
+    taps = np.zeros((2, 2, len(dims), 5, 13))
+    for n, dim in enumerate(dims):
+        taps[..., n, :, :dim] = _Band(dim, (0,)).taps
+    P = _band_powers(taps.reshape(2, 2, -1, 13), 1.0, np.tile(g, len(dims))[:, None])
+    S = fit(0.0, P.reshape(5, 9, -1, 5, 13).transpose(3, 0, 1, 2, 4).reshape(5, -1))
+    S = S.reshape(5, 5, 9, -1, 13)[_WORD_U, _WORD_D + _WORD_U]
+    free = fit(4.0, S[:, :, -1, 4:9].reshape(-1, 5).T)
+    wall = [S[:, :, n, dim - 4:dim] for n, dim in enumerate(dims[:-1])]
+    wall = fit(7.0, np.reshape(wall, (5, -1)))
+    free, wall = np.rint(free.T).reshape(15, 45), np.rint(wall.T)
+    free.flags.writeable = wall.flags.writeable = False
+    return free, wall
+
+
+_FREE, _WALL = _chain_tables()
+
+
+def _chain_powers(band: _Band, hi: int, g_down: float, g_up: float) -> np.ndarray:
+    """(g_down D + g_up U)^j on the first ``hi`` rows of the k = 0 chain of
+    ``band`` (hi <= dim - 4 or hi = dim) for j = 0 .. 4, as nine taps each,
+    shape (5, 9, hi): the rate weights g_down^a g_up^b of the words (a, b)
+    of length j times the tables of :func:`_chain_tables`, times the powers
+    of the levels, or on the top 4 rows, when hi = dim, of the top level."""
+    weights = _POWER_OF_WORD * (g_down ** _WORD_D * g_up ** _WORD_U)
+    P = np.dot(np.dot(weights, _FREE).reshape(45, 5), band.powers[:, :hi]).reshape(5, 9, hi)
+    if hi == band.dim:
+        top = np.dot(_WALL, band.powers[:, -1]).reshape(15, 36)
+        P[..., -4:] = np.dot(weights, top).reshape(5, 9, 4)[..., max(0, 4 - hi):]
     return P
 
 
@@ -536,8 +506,8 @@ def lindblad_rhs(rho: np.ndarray, t: float, model: RateModel) -> np.ndarray:
     for m the diagonal of the truncated a a+ (i + 1, zero at the top
     level), without the terms that reach outside the basis.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     g_down, g_up = model.rates(t, mean_occupation(rho))
     n = np.arange(float(len(rho)))
     decay = g_down * n + g_up * np.append(n[1:], 0.0)
@@ -679,11 +649,12 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
     f1 f2^2 f3/24), which is (1, f2, f2^2/2, f2^3/6, f1 f2^2 f3/24) for
     a scale linear in t, as both laws' are.  P[j] holds the nine taps of
     (dt A)^j on the window, built again whenever it grows.  A state on the
-    k = 0 chain alone takes them from the shared word sums
-    (:func:`_chain_powers`), one (5 x 15) by (15 x hi) product per tap;
-    any other, whose window is all dim levels, builds them one factor at a
-    time (:func:`_band_powers`) for ``_BUILD_ROWS // dim`` stored diagonals
-    at a time, the blocks of rows in which the operator is also applied.
+    k = 0 chain alone takes them from the word-sum tables
+    (:func:`_chain_powers`), in two small matrix products and one more for
+    the top rows; any other, whose window is all dim levels, builds them
+    one factor at a time (:func:`_band_powers`) for ``_BUILD_ROWS // dim``
+    stored diagonals at a time, the blocks of rows in which the operator is
+    also applied.
     CONSTANT, whose c are five scalars, keeps only sum_j c_j P[j].
     SCALED, whose c_j change every step, keeps
     the five powers B and builds the operators of ``span`` consecutive
@@ -714,8 +685,8 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
         size = max(1, _BUILD_ROWS // hi)
         blocks = [slice(lo, min(lo + size, nb)) for lo in range(0, nb, size)]
         for chains in blocks:
-            P = (_chain_powers(dim, hi, g_down, g_up) if nb == 1
-                 else _band_powers(band, g_down, g_up, chains))
+            P = (_chain_powers(band, hi, g_down, g_up) if nb == 1
+                 else _band_powers(band.taps[:, :, chains], g_down, g_up))
             if B is None:
                 ops[0][:, chains] = np.dot(coeffs, P.reshape(5, -1)).reshape(9, -1, hi)
             else:

@@ -203,6 +203,16 @@ def test_simulate_closed_form_law_rejects_integrator_flags(capsys, law, flag):
     assert f"--law {law} does not read {flag[0]}" in err
 
 
+@pytest.mark.parametrize("n0", ["inf", "nan"])
+@pytest.mark.parametrize("law", ["lindblad", "ladder"])
+def test_simulate_non_finite_n0_exits_2(capsys, law, n0):
+    code, out, err = run_cli(capsys, "simulate", "--law", law, "--n0", n0,
+                             "--nr", "2", "--gamma", "1")
+    assert code == 2
+    assert out == ""
+    assert f"--n0 must be >= 0 and finite, got {n0}" in err
+
+
 def test_simulate_unstable_step_exits_3(capsys):
     code, _, err = run_cli(capsys, "simulate", "--law", "lindblad",
                            "--model", "constant", "--n0", "8", "--nr", "2",

@@ -116,6 +116,25 @@ def test_check_density_matrix_rejects_all_zero():
         check_density_matrix(np.zeros((5, 5), dtype=complex))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, np.nan, complex(1.0, np.inf)])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+def test_check_density_matrix_rejects_non_finite_entries(entry, value):
+    # the entry and its mirror; the finiteness check comes before the
+    # asymmetry, whose subtraction of inf from inf would warn
+    rho = thermal_state(1.0, 12)
+    rho[entry] = value
+    rho[entry[::-1]] = np.conj(value)
+    with pytest.raises(ValueError, match="not finite"):
+        check_density_matrix(rho)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_density_matrix_rejects_empty():
+    with pytest.raises(ValueError, match="empty"):
+        check_density_matrix(np.zeros((0, 0), dtype=complex))
+
+
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
     """The shapes of the matrices np.linalg.eigvalsh is called on."""
@@ -319,6 +338,15 @@ def test_ground_state_stationary_cold_bath():
     model = RateModel(law=RateLaw.CONSTANT, gamma=1.0, n_res=0.0)
     deriv = lindblad_rhs(number_state(0, 10), 0.0, model)
     assert np.abs(deriv).max() < 1e-14
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model", [CONSTANT, SCALED, FEEDBACK],
+                         ids=["constant", "scaled", "feedback"])
+@pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+def test_rhs_rejects_a_negative_or_non_finite_time(t, model):
+    with pytest.raises(ValueError, match=r"t must be >= 0 and finite"):
+        lindblad_rhs(thermal_state(1.0, 10), t, model)
 
 
 def test_rhs_traceless():
@@ -938,7 +966,7 @@ def test_levels_past_the_window_stay_exactly_zero(windows):
     assert not np.any((p != 0) & (np.abs(p) < np.finfo(float).tiny))
 
 
-# --- setup: the cached generator and the word sums -------------------------
+# --- setup: the cached generator and the word-sum tables --------------------
 
 @settings(max_examples=60, deadline=None)
 @given(dim=st.integers(2, 60), hi=st.integers(1, 60), g_down=st.floats(0.0, 5.0),
@@ -949,25 +977,44 @@ def test_levels_past_the_window_stay_exactly_zero(windows):
 @example(dim=40, hi=40, g_down=1.0, g_up=2.0, dt=0.01)
 def test_word_sums_give_the_powers_of_the_population_generator(dim, hi, g_down, g_up, dt):
     # (dt A)^j for the k = 0 chain, written densely from the dissipator's
-    # matrix elements, against the weighted word sums the step builds from,
-    # on a window of its first hi levels (hi <= dim - 4) or on all of them
+    # matrix elements, against the weighted word-sum tables the step builds
+    # from, on a window of its first hi levels (hi <= dim - 4) or on all of
+    # them; and CONSTANT's one operator, its RK4 coefficients times them
     hi = dim if hi > dim - 4 else hi
     model = SimpleNamespace(rates=lambda t, n_sys: (g_down, g_up))
     step = np.zeros((dim, dim))
     for level in range(dim):
         step[:, level] = dt * lindblad_rhs(number_state(level, dim), 0.0, model).diagonal().real
-    powers = lindblad._chain_powers(dim, hi, dt * g_down, dt * g_up)
+    powers = lindblad._chain_powers(lindblad._band(dim, (0,)), hi, dt * g_down, dt * g_up)
     assert powers.shape == (5, 9, hi)
+    coeffs = np.array([1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0])
+    dense = [np.linalg.matrix_power(step, j) for j in range(5)]
+    dense.append(np.tensordot(coeffs, dense, 1))
+    powers = [*powers, np.dot(coeffs, powers.reshape(5, -1)).reshape(9, hi)]
     i = np.arange(dim)
-    for j in range(5):
-        dense = np.linalg.matrix_power(step, j)
+    for m, got in zip(dense, powers):
         taps = np.zeros((9, dim))
         for d in range(9):
             inside = (i + d - 4 >= 0) & (i + d - 4 < dim)
-            taps[d, inside] = dense[i[inside], i[inside] + d - 4]
+            taps[d, inside] = m[i[inside], i[inside] + d - 4]
         # a rounding of a subnormal entry is absolute, far below the smallest normal
-        bound = 1e-13 * np.abs(dense).max() + np.finfo(float).tiny
-        assert np.abs(powers[j] - taps[:, :hi]).max() <= bound
+        bound = 1e-13 * np.abs(m).max() + np.finfo(float).tiny
+        assert np.abs(got - taps[:, :hi]).max() <= bound
+
+
+@pytest.mark.parametrize("dim", [*range(1, 8), *range(13, 61), 800])
+def test_chain_tables_give_the_band_powers_bit_for_bit(dim):
+    # at integer rates every entry of a power is an integer, exact in both
+    # builds: the tables fitted at dims 8 .. 13 give the one-factor-at-a-time
+    # powers of _band_powers at every other dim, on all levels (with the
+    # wall) and on every window hi <= dim - 4, and so the same operators
+    band = lindblad._band(dim, (0,))
+    windows = {dim, *range(1, dim - 3)} if dim <= 60 else {dim, dim - 4, dim // 2, 1}
+    for g_down, g_up in ((1.0, 2.0), (3.0, 1.0), (0.0, 5.0), (7.0, 0.0)):
+        expect = lindblad._band_powers(band.taps, g_down, g_up)[:, :, 0]
+        for hi in sorted(windows):
+            assert np.array_equal(lindblad._chain_powers(band, hi, g_down, g_up),
+                                  expect[..., :hi])
 
 
 @pytest.fixture
@@ -993,8 +1040,8 @@ def test_a_run_of_no_steps_builds_no_step_operator(model, build_calls):
     assert build_calls == [model.law] * 2
 
 
-def test_runs_share_the_cached_generator_and_nothing_else(monkeypatch):
-    # two runs at one dim read the same band and word sums; neither can
+def test_runs_share_the_cached_generator_and_nothing_else():
+    # two runs at one dim read the same band and word-sum tables; neither can
     # write to them, and the second leaves the first's results as they were
     dim = 40
     cfg = IntegratorConfig(dt=1e-3, t_end=0.05, record_every=10)
@@ -1004,37 +1051,14 @@ def test_runs_share_the_cached_generator_and_nothing_else(monkeypatch):
     assert second._final[0] is first._final[0]
     assert np.array_equal(first.populations, populations)
     final_state = first.final_state.copy()
-    # the same run again, on a band and word sums of its own
+    # the same run again, on a band of its own
     lindblad._band.cache_clear()
-    lindblad._wall_sums.cache_clear()
-    monkeypatch.setattr(lindblad, "_word_sums", lindblad._WordSums())
     alone = integrate(number_state(5, dim), SCALED, cfg)
     assert alone._final[0] is not first._final[0]
     assert np.array_equal(alone.populations, populations)
     assert np.array_equal(alone.final_state, final_state)
     band = lindblad._band(dim, (0,))
-    for cached in (band.offsets, band.mask, band.levels, band.taps, *band.lower,
-                   lindblad._word_sums(dim, dim), lindblad._wall_sums(dim)):
+    for cached in (band.offsets, band.mask, band.powers, band.levels, band.taps, *band.lower,
+                   lindblad._FREE, lindblad._WALL):
         with pytest.raises(ValueError, match="read-only"):
             cached[...] = 0
-
-
-def test_word_sums_are_one_prefix_shared_by_every_dim(monkeypatch):
-    # thermal starts whose windows reach the wall at dims 400, 800, 400 and
-    # 200: the wall-free sums are built once and grown once, to 800 levels
-    # (864 KB), and each dim builds the sums of its top levels
-    built = []
-
-    def spy(lo, n, wall, build=lindblad._chain_word_sums):
-        built.append((lo, n, wall))
-        return build(lo, n, wall)
-    monkeypatch.setattr(lindblad, "_chain_word_sums", spy)
-    monkeypatch.setattr(lindblad, "_word_sums", lindblad._WordSums())
-    lindblad._wall_sums.cache_clear()
-    cfg = IntegratorConfig(dt=1e-5, t_end=2e-5)
-    for dim in (400, 800, 400, 200):
-        p0 = (20.0 / 21.0) ** np.arange(dim)
-        evolve_populations(p0 / p0.sum(), CONSTANT, cfg)
-    assert [b for b in built if not b[2]] == [(0, 400, False), (0, 800, False)]
-    assert [b for b in built if b[2]] == [(392, 8, True), (792, 8, True), (192, 8, True)]
-    assert lindblad._word_sums.sums.nbytes == 864_000
