@@ -35,29 +35,45 @@ thermal state's geometric tail needs more levels (``_thermal_dim``).
 
 Only the diagonals rho[i + k, i] (k >= 0) present at t = 0 are stored,
 one per row of a (rows, dim) array, and each evolves on its own under
-g_down D + g_up U for two fixed tridiagonal chains D and U, which
-:class:`_Band` stores as their four planes that are not always zero.
-Under CONSTANT and SCALED one RK4 step is a degree-4 polynomial in dt A,
-one nine-tap operator, the one operator stored taps-first
-(:func:`_polynomial_step`), whose taps a step sums with one product with
-ones.  On the k = 0 chain alone (every diagonal state, and the ladder)
-the powers of dt A are their rate weights times two fixed integer tables
-of the polynomials in the level that the rate-free sums of the words in
-D and U are (:func:`_chain_tables`), times the powers of the levels; the
-band of each recent (dim, offsets) is kept, read-only.  A FEEDBACK
-stage dots its rates, read off its state's mean, with the products of
-the four planes and views of its state.  That mean follows from scalars,
-as levels.(A x) = -g_down n + g_up (n + trace - dim x_top) on the
-truncated chain (the last term is the wall).  Both propagators share one
-call shape, ``advance(n0, n1)``, which runs steps n0 + 1 .. n1, and a run
-calls it once per interval between its events: the recorded steps, every
-100th step and the last, where it samples and checkpoints.  A one-row
-state is stepped, and its operator built, only on the window of levels
-that can carry an entry above ``_NEGLIGIBLE`` before the next of its
-checks, every ``_WINDOW_EVERY`` steps (:func:`_windowed`); past it the
-state stays exactly 0.  The README gives the step's measured stability
-limit; a step beyond it blows up, and the next checkpoint raises
-IntegrationError, naming the blow-up.
+A = g_down D + g_up U for two fixed tridiagonal chains D and U, which
+:class:`_Band` stores as their four planes that are not always zero.  An
+RK4 step whose stages have the generators A_1 .. A_4 is, in M_s = dt A_s,
+1 + sum_s b_s M_s / 6 + sum M_{s+1} M_s / 6 + sum M_{s+2} M_{s+1} M_s / 12
++ M_4 M_3 M_2 M_1 / 24, b = (1, 2, 2, 1): one nine-tap operator, stored
+taps-first and applied with one product with views of the state and one
+tap sum (:func:`_polynomial_step`).  Under CONSTANT and SCALED, A_s is
+A times the rate scale, so the step is a polynomial in dt A.  On the
+k = 0 chain (every diagonal state, and the ladder) the taps of each of
+the 31 ordered words of at most 4 factors D and U are integer
+polynomials in the level, or in the top level on the top 4 rows, which
+reach the wall, held with their 15 sums over orderings in fixed tables
+(:func:`_chain_tables`); a linear law weighs the sums by its rates.
+FEEDBACK on one row weighs the words by its stage rates, which shift both
+base rates by one c_s, so each weight is a sum of 16 products of the
+c_s times a matrix fixed per run.  The rates are read through
+RateModel.rates before the step, at the stage means: n_1 = n, the
+state's, and n_{s+1} = n + w_s levels.(A_s x_s), w_s stage s + 1's weight,
+where levels.(A x) = -g_down n + g_up (n + trace - dim x_top) on the
+truncated chain, the last term the wall.  Below it, where the window of
+live levels ends short of dim, every top entry is exactly 0, and the
+rates of a block of ``_WINDOW_EVERY`` steps follow from the state at its
+first step, the mean carried from step to step by the same identity; at
+the wall they are read a step at a time, the stage inputs' top entries
+from the state's top 3 through the top rows' taps.  Such a step is
+x + (P - I) x for its operator P, so that no tap holds a rounded 1 + delta,
+whose error would add up step after step.  A state with more than one row under FEEDBACK is
+stepped a stage at a time, each stage's rates read off its own input
+(:func:`_staged_step`).  Both propagators share one call shape,
+``advance(n0, n1)``, which runs steps n0 + 1 .. n1, and a run calls it
+once per interval between its events: the recorded steps, every 100th
+step and the last, where it samples and checkpoints.  A one-row state is
+stepped, and its operator built, only on the window of levels that can
+carry an entry above ``_NEGLIGIBLE`` before the next of its checks, every
+``_WINDOW_EVERY`` steps (:func:`_windowed`); past it the state stays
+exactly 0.  The band of each recent (dim, offsets) is kept, read-only.
+The README gives the step's measured stability limit; a step beyond it
+blows up, and the next checkpoint raises IntegrationError, naming the
+blow-up.
 """
 
 from __future__ import annotations
@@ -407,63 +423,79 @@ class _Band:
 _band = lru_cache(maxsize=16)(_Band)
 
 
+def _times(diag, up, down, W):
+    """F W for the tridiagonal F with taps ``diag``, ``up`` and ``down`` on
+    the rows of W, nine taps each (..., 9, rows, n) as :func:`_band_powers`
+    stores them; F's taps broadcast against them."""
+    out = diag * W
+    out[..., 1:, :, :-1] += up[..., :-1] * W[..., :-1, :, 1:]
+    out[..., :-1, :, 1:] += down[..., 1:] * W[..., 1:, :, :-1]
+    return out
+
+
 def _band_powers(taps: np.ndarray, g_down, g_up) -> np.ndarray:
     """(g_down D + g_up U)^j for j = 0 .. 4 on the chains whose planes are
     ``taps``, shape (2, 2, rows, n) as :class:`_Band` stores them, as nine
-    taps each, shape (5, 9, rows, n), built one factor at a time; a rate
-    may also be a column of one rate per chain."""
+    taps each, shape (5, 9, rows, n), built one factor at a time."""
     (d_diag, d_up), (u_low, u_diag) = taps
     # the entries [i, i], [i, i + 1] and [i, i - 1] of every chain
-    diag = g_down * d_diag + g_up * u_diag
-    up, down = g_down * d_up[:, :-1], g_up * u_low[:, 1:]
+    diag, up, down = g_down * d_diag + g_up * u_diag, g_down * d_up, g_up * u_low
     P = np.zeros((5, 9, *diag.shape))
     P[0, 4] = 1.0
     for j in range(1, 5):
-        np.multiply(P[j - 1], diag, out=P[j])
-        P[j, 1:, :, :-1] += up * P[j - 1, :-1, :, 1:]
-        P[j, :-1, :, 1:] += down * P[j - 1, 1:, :, :-1]
+        P[j] = _times(diag, up, down, P[j - 1])
     return P
 
 
-# the 15 words of at most 4 factors of D and U, as how many of each, by length
-# j and then by falling count of D: the words of length j start at j (j + 1) / 2,
-# the m-th being (j - m, m); _POWER_OF_WORD[j] marks them
+# the 31 ordered words of at most 4 factors of D and U by length j, the m-th
+# word of length j having U as its factor i from the left where bit j - 1 - i
+# of m is set; and the 15 word sums, by length j and then by falling count of
+# D: the sums of length j start at j (j + 1) / 2, the m-th being of the words
+# with j - m factors D and m factors U; _POWER_OF_WORD[j] marks them, and
+# _ORDERINGS maps the words to their sums
 _WORD_D, _WORD_U = np.array([(a, j - a) for j in range(5) for a in range(j, -1, -1)]).T
 _POWER_OF_WORD = np.equal.outer(np.arange(5), _WORD_D + _WORD_U)
+_ORDERINGS = np.equal.outer(np.arange(15), [j * (j + 1) // 2 + m.bit_count()
+                                            for j in range(5) for m in range(2 ** j)])
 
 
 def _chain_tables():
-    """Integer coefficients of the word sums S[w] of the k = 0 chain (all
-    products of ``_WORD_D[w]`` factors D and ``_WORD_U[w]`` factors U, as
-    nine taps S[w, d, i] multiplying x[i + d - 4]), polynomials of degree
-    <= 4: ``free[w, 5 d + p]`` of i^p on each row i at least 4 below the top
-    level n = dim - 1 (a path below level 0 has a zero factor), and
-    ``wall[36 w + 4 d + r, p]`` of n^p on row n - 3 + r.  The g^b
-    coefficient of (D + g U)^j is S[(j - b, b)], so both are fitted exactly
-    to :func:`_band_powers` at five g on the chains of dims 8 .. 13: at
-    levels 4 .. 8 of the last and the top 4 rows of the others.  Read-only."""
-    g, dims = np.arange(5.0), range(8, 14)
+    """Integer coefficients of the 31 words W[w] of the k = 0 chain, nine
+    taps W[w, d, i] multiplying x[i + d - 4]: ``free[w, 5 d + p]`` of i^p
+    on each row i at least 4 below the top level n = dim - 1 (a path below
+    level 0 has a zero factor), ``wall[36 w + 4 d + r, p]`` of n^p on row
+    n - 3 + r; then both of the 15 word sums.  Built a factor at a time on
+    the chains of dims 8 .. 13, fitted at levels 4 .. 8 of the last and
+    the top 4 rows of the others.  Read-only."""
+    dims = range(8, 14)
+    taps = np.zeros((2, 2, len(dims), 13))
+    for n, dim in enumerate(dims):
+        taps[..., n, :dim] = _Band(dim, (0,)).taps[:, :, 0]
+    (d_diag, d_up), (u_low, u_diag) = taps
+    zero = np.zeros_like(d_diag)
+    # the diagonal, upper and lower taps of D (first) and U (second)
+    factors = [np.array(f)[:, None, None] for f in ((d_diag, u_diag), (d_up, zero), (zero, u_low))]
+    words = [np.zeros((1, 9, len(dims), 13))]
+    words[0][0, 4] = 1.0
+    for _ in range(4):
+        words.append(_times(*factors, words[-1]).reshape(-1, 9, len(dims), 13))
+    W = np.concatenate(words)
 
     def fit(x, y):
-        # the coefficients of the polynomials of degree <= 4 through y at g + x
-        return np.dot(np.linalg.inv(np.vander(g + x, increasing=True)), y)
+        # the coefficients of the polynomials of degree <= 4 through y at x .. x + 4
+        return np.rint(np.dot(np.linalg.inv(np.vander(x + np.arange(5.0), increasing=True)), y).T)
 
-    # five rows of each chain, zero past its top level
-    taps = np.zeros((2, 2, len(dims), 5, 13))
-    for n, dim in enumerate(dims):
-        taps[..., n, :, :dim] = _Band(dim, (0,)).taps
-    P = _band_powers(taps.reshape(2, 2, -1, 13), 1.0, np.tile(g, len(dims))[:, None])
-    S = fit(0.0, P.reshape(5, 9, -1, 5, 13).transpose(3, 0, 1, 2, 4).reshape(5, -1))
-    S = S.reshape(5, 5, 9, -1, 13)[_WORD_U, _WORD_D + _WORD_U]
-    free = fit(4.0, S[:, :, -1, 4:9].reshape(-1, 5).T)
-    wall = [S[:, :, n, dim - 4:dim] for n, dim in enumerate(dims[:-1])]
-    wall = fit(7.0, np.reshape(wall, (5, -1)))
-    free, wall = np.rint(free.T).reshape(15, 45), np.rint(wall.T)
-    free.flags.writeable = wall.flags.writeable = False
-    return free, wall
+    free = fit(4.0, W[:, :, -1, 4:9].reshape(-1, 5).T).reshape(31, 45)
+    wall = fit(7.0, np.reshape([W[:, :, n, dim - 4:dim] for n, dim in enumerate(dims[:-1])],
+                               (5, -1))).reshape(31, -1)
+    tables = (free, wall.reshape(-1, 5), np.dot(_ORDERINGS, free),
+              np.dot(_ORDERINGS, wall).reshape(-1, 5))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-_FREE, _WALL = _chain_tables()
+_WORDS_FREE, _WORDS_WALL, _FREE, _WALL = _chain_tables()
 
 
 def _chain_powers(band: _Band, hi: int, g_down: float, g_up: float) -> np.ndarray:
@@ -478,6 +510,19 @@ def _chain_powers(band: _Band, hi: int, g_down: float, g_up: float) -> np.ndarra
         top = np.dot(_WALL, band.powers[:, -1]).reshape(15, 36)
         P[..., -4:] = np.dot(weights, top).reshape(5, 9, 4)[..., max(0, 4 - hi):]
     return P
+
+
+def _word_taps(band: _Band, hi: int):
+    """The 31 words on the first ``hi`` levels of the k = 0 chain of
+    ``band`` (hi <= dim - 4 or hi = dim) as T (31, 9, q) times a basis
+    (q, hi): the powers 0 .. 4 of the levels, and when hi = dim, in place
+    of them on the top 4 rows, which reach the wall, those rows' indicators."""
+    T, basis = _WORDS_FREE.reshape(31, 9, 5), band.powers[:, :hi]
+    if hi == band.dim:
+        wall = np.dot(_WORDS_WALL, band.powers[:, -1]).reshape(31, 9, 4)
+        T = np.concatenate((T, wall), axis=2)
+        basis = np.concatenate((basis * (band.levels < hi - 4), np.eye(4, hi, hi - 4)))
+    return T, basis
 
 
 def _shifted(x0: np.ndarray, width: int):
@@ -575,156 +620,200 @@ def _windowed(make, x0: np.ndarray):
 
 
 def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
-    """RK4 steps whose stage rates read the stage state, starting from x0;
-    ``advance(n0, n1)`` runs steps n0 + 1 .. n1 on the window of live
-    levels (:func:`_windowed`) and returns the state.  The state and the
-    stage state are the buffers of :func:`_shifted`.
-    Stage s multiplies the four planes of ``band.taps`` with the views of
-    its input they read, and dots the products with w_s (g_down, g_down,
-    g_up, g_up): its rates at t + c_s for its input's mean n_s, weighed by
-    the next stage's c (dt/6 for the last), so a stage state is one add
-    and the update one dot.  Only the first mean and the trace are read
-    off the state: the next stage's mean is n + w_s levels.(A x_s), by the
-    module docstring's identity with its wall term dim x_s[0, dim - 1],
-    which is 0 while the window ends below the top level.
-    """
+    """RK4 steps from x0 on all dim levels, each stage's rates read off its
+    own input and its slope one product of the four planes of ``band.taps``
+    with views of it; ``advance(n0, n1)`` runs steps n0 + 1 .. n1."""
     nb, dim = x0.shape
     weights = np.array([1.0, 2.0, 1.0, 3.0]) / 3.0
     stage_rates = np.empty(4)   # w_s (g_down, g_down, g_up, g_up), filled in place
-    (state, stage), _ = _shifted(x0, 3)
+    (x, y), _ = _shifted(x0, 3)
     # the views of each buffer; [1, 0] of the first entry reads the zero before it
-    views = [as_strided(x, band.taps.shape, (-x0.itemsize, x0.itemsize, *x.strides),
-                        writeable=False) for x in (state, stage)]
+    views = [as_strided(v, band.taps.shape, (-x0.itemsize, x0.itemsize, *v.strides),
+                        writeable=False) for v in (x, y)]
+    prod = np.empty(band.taps.shape, dtype=x0.dtype)
+    prod_flat = prod.reshape(4, -1).view(float)
+    slopes = np.empty((4, nb, dim), dtype=x0.dtype)
+    slopes_flat, stage_flat = slopes.reshape(4, -1).view(float), y.reshape(-1).view(float)
+    moments, state_row = np.array([band.levels, np.ones(dim)]), x[0].real
+    # (c_s, w_s, the views and k = 0 row of the stage's input, the slope the
+    # input adds, the stage's own slope)
+    stages = list(zip((0.0, 0.5 * dt, 0.5 * dt, dt), (0.5 * dt, 0.5 * dt, dt, dt / 6.0),
+                      views[:1] + 3 * views[1:], [x[0].real] + 3 * [y[0].real],
+                      [None, *slopes[:3]], slopes_flat))
 
-    def make(hi):
-        taps = band.taps[..., :hi]
-        prod = np.empty(taps.shape, dtype=x0.dtype)
-        prod_flat = prod.reshape(4, -1).view(float)
-        slopes = np.empty((4, nb, hi), dtype=x0.dtype)
-        moments = np.array([band.levels[:hi], np.ones(hi)])
-        x, y = state[:, :hi], stage[:, :hi]
-        state_row = x[0].real
-        slopes_flat = slopes.reshape(4, -1).view(float)
-        stage_flat = y.reshape(-1).view(float)
-        # (c_s, w_s, the views and whole k = 0 row of the stage's input, the
-        # slope the input adds, the stage's own slope)
-        stages = list(zip((0.0, 0.5 * dt, 0.5 * dt, dt), (0.5 * dt, 0.5 * dt, dt, dt / 6.0),
-                          [v[..., :hi] for v in views[:1] + 3 * views[1:]],
-                          [state[0].real] + 3 * [stage[0].real],
-                          [None, *slopes[:3]], slopes_flat))
+    def advance(n0, n1):
+        dot, add, multiply, rates, taps = np.dot, np.add, np.multiply, model.rates, band.taps
+        for n in range(n0 + 1, n1 + 1):
+            t = (n - 1) * dt
+            n_bar, trace = dot(moments, state_row).tolist()
+            n_s = n_bar
+            for c, w, x_views, row, prev, k in stages:
+                if c:
+                    add(x, prev, out=y)
+                g_down, g_up = rates(t + c, n_s)
+                stage_rates[0] = stage_rates[1] = w * g_down
+                stage_rates[2] = stage_rates[3] = w * g_up
+                multiply(taps, x_views, out=prod)
+                dot(stage_rates, prod_flat, out=k)
+                n_s = n_bar + w * (g_up * (n_s + trace - dim * row.item(-1)) - g_down * n_s)
+            dot(weights, slopes_flat, out=stage_flat)
+            add(x, y, out=x)
+        return x
 
-        def run(n0, n1):
-            dot, add, multiply, rates = np.dot, np.add, np.multiply, model.rates
-            for n in range(n0 + 1, n1 + 1):
-                t = (n - 1) * dt
-                n_bar, trace = dot(moments, state_row).tolist()
-                n_s = n_bar
-                for c, w, x_views, row, prev, k in stages:
-                    if c:
-                        add(x, prev, out=y)
-                    g_down, g_up = rates(t + c, n_s)
-                    stage_rates[0] = stage_rates[1] = w * g_down
-                    stage_rates[2] = stage_rates[3] = w * g_up
-                    multiply(taps, x_views, out=prod)
-                    dot(stage_rates, prod_flat, out=k)
-                    n_s = n_bar + w * (g_up * (n_s + trace - dim * row.item(-1)) - g_down * n_s)
-                dot(weights, slopes_flat, out=stage_flat)
-                add(x, y, out=x)
-            return state
+    # the window of a state of more than one row is all its levels
+    return _windowed(lambda hi: advance, x)
 
-        return run
 
-    return _windowed(make, state)
+def _feedback_build(band: _Band, model: RateModel, dt: float, n_steps: int, rows, ops):
+    """``build(lo)``, which writes to ops, shape (span, 9, hi), the nine
+    taps of P - I for each FEEDBACK step lo + 1 .. lo + span (at most
+    n_steps) of a one-row state on its first hi levels, P the step's
+    operator, from the state at step lo, rows[lo % 2] (module docstring)."""
+    dim, span, hi = band.dim, len(ops), ops.shape[-1]
+    wall = hi == dim    # else every entry on rows n - 2 .. n is 0
+    T, basis = _word_taps(band, hi)
+    base_down, base_up = model.rates(0.0, 0.0)
+    # K[S, w]: the coefficient in word w's weight of the product of the e_s
+    # over S, e_s stage s's shift of both rates: a sum over the runs of stages
+    # that cover S, a stage in S giving dt, any other dt times its base rate
+    subsets = np.arange(16)[:, None]
+    r = dt * np.where((subsets >> np.arange(4) & 1)[..., None], 1.0, [base_down, base_up])
+    K, p = [], r
+    # the weights of the runs of n consecutive stages, by first stage
+    for n, w in enumerate((np.array([1, 2, 2, 1]) / 6, [1 / 6] * 3, [1 / 12] * 2, [1 / 24]), 1):
+        cover = (subsets & ~((2 ** n - 1) << np.arange(5 - n))) == 0
+        K.append(np.einsum("ask,as->ak", p, np.multiply(w, cover)))
+        p = (r[:, n:, :, None] * p[:, :-1, None]).reshape(16, 4 - n, 2 ** (n + 1))
+    Q, q = np.dot(np.concatenate(K, axis=1), T[1:].reshape(30, -1)), len(basis)
+    # the mean, the trace and rows n - 2 .. n, n = dim - 1, of the state, and
+    # the taps of D and U on rows n - 1 (dd1, ...) and n, zero below level 0
+    moments = np.vstack((band.levels, np.ones(dim), np.eye(3, dim, dim - 3)))
+    ((dd1, dd), (du1, _)), ((ul1, ul), (ud1, ud)) = np.pad(
+        band.taps[:, :, 0], ((0, 0), (0, 0), (2, 0)))[..., -2:].tolist()
+    # (c_s, w_s, the weight of the stage's slope in the step, and whether to
+    # carry the top rows into the next stage's input: at the wall the means
+    # of stages 3 and 4 read row n of the inputs of stages 2 and 3)
+    stages = tuple(zip((0.0, 0.5 * dt, 0.5 * dt, dt), (0.5 * dt, 0.5 * dt, dt, 0.0),
+                       (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0), (wall, wall, False, False)))
+    mono, coeffs = np.zeros((span, 16)), np.empty((span, Q.shape[1]))
+    mono_flat, coeffs_q, out = mono.reshape(-1), coeffs.reshape(-1, q), ops.reshape(-1, hi)
+
+    def build(lo):
+        rates, dot = model.rates, np.dot
+        n_bar, trace, z0, z1, z2 = dot(moments, rows[lo % 2]).tolist()
+        monomials = []
+        for n in range(lo, min(lo + span, n_steps)):
+            t, n_s, n_next, y1, y2, e = n * dt, n_bar, n_bar, z1, z2, []
+            for c, w, b, top in stages:
+                g_down, g_up = rates(t + c, n_s)
+                e.append(g_up - base_up)
+                slope = g_up * (n_s + trace - dim * y2) - g_down * n_s
+                n_s, n_next = n_bar + w * slope, n_next + b * slope
+                if top:
+                    # rows n - 1 and n of the next stage's input x + w A y;
+                    # row n - 1 reads y's row n - 2 as x's, exact after stage 1,
+                    # where y is x, and read by no mean after stage 2
+                    y1, y2 = (z1 + w * (g_down * (dd1 * y1 + du1 * y2)
+                                        + g_up * (ul1 * z0 + ud1 * y1)),
+                              z2 + w * (g_down * dd * y2 + g_up * (ul * y1 + ud * y2)))
+            n_bar = n_next
+            # the products of the e_s over the stages s in S, bit s - 1 of S set
+            e1, e2, e3, e4 = e
+            e12, e34 = e1 * e2, e3 * e4
+            monomials += (1.0, e1, e2, e12, e3, e1 * e3, e2 * e3, e12 * e3,
+                          e4, e1 * e4, e2 * e4, e12 * e4, e34, e1 * e34, e2 * e34, e12 * e34)
+        # a short last block leaves the rows past it stale, which no step reads
+        mono_flat[:len(monomials)] = monomials
+        dot(mono, Q, out=coeffs)
+        dot(coeffs_q, basis, out=out)
+
+    return build
 
 
 def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
                      dt: float, n_steps: int):
-    """RK4 steps for a generator f(t) A, starting from x0; ``advance(n0, n1)``
-    runs steps n0 + 1 .. n1 on the window of live levels [0, hi)
-    (:func:`_windowed`) and returns the state.
-
-    The four stages compose to x <- sum_j c_j (dt A)^j x, with f1, f2, f3
-    the scale at t, t + dt/2 and t + dt:
-    c = (1, (f1 + 4 f2 + f3)/6, f2 (f1 + f2 + f3)/6, f2^2 (f1 + f3)/12,
-    f1 f2^2 f3/24), which is (1, f2, f2^2/2, f2^3/6, f1 f2^2 f3/24) for
-    a scale linear in t, as both laws' are.  P[j] holds the nine taps of
-    (dt A)^j on the window, built again whenever it grows.  A state on the
-    k = 0 chain alone takes them from the word-sum tables
-    (:func:`_chain_powers`), in two small matrix products and one more for
-    the top rows; any other, whose window is all dim levels, builds them
-    one factor at a time (:func:`_band_powers`) for ``_BUILD_ROWS // dim``
-    stored diagonals at a time, the blocks of rows in which the operator is
-    also applied.
-    CONSTANT, whose c are five scalars, keeps only sum_j c_j P[j].
-    SCALED, whose c_j change every step, keeps
-    the five powers B and builds the operators of ``span`` consecutive
-    steps at once, as one matrix product of their c with B, so that a step
-    is one product and one sum over the taps, as under CONSTANT.  ``span``
-    is ``_BUILD_ROWS // (rows hi)`` (at least 1), so a state of more than
-    one block of rows builds one operator per step.  The blocks of steps
-    start at the multiples of ``span``, whatever n0 is, so the intervals a
-    run is advanced in change no bit.  The state alternates between the
-    two buffers of :func:`_shifted`, and a step sums its nine products
-    with one BLAS product with ones, on float views of a complex state.
-    """
+    """RK4 steps from x0 for a linear law, or FEEDBACK on one row, each one
+    nine-tap operator (module docstring); ``advance(n0, n1)`` runs steps
+    n0 + 1 .. n1 on the window of live levels (:func:`_windowed`) and
+    returns the state.  The operators of a block of ``span`` steps, from a
+    multiple of span, are built at its first step, so the intervals a run
+    is advanced in change no bit."""
     nb, dim = x0.shape
+    law = model.law
+    feedback = law is RateLaw.FEEDBACK
     g_down, g_up = (dt * g for g in model.rates(0.0, 0.0))
-    # CONSTANT's scale is 1 at every t, so its c are five scalars
-    t = np.arange(n_steps) * dt if model.law is RateLaw.SCALED else 0.0
-    f1, f2, f3 = (_rate_scale(model, s) for s in (t, t + 0.5 * dt, t + dt))
-    f22 = f2 * f2
-    coeffs = np.array([np.ones_like(f2), f2, 0.5 * f22, f22 * f2 / 6.0,
-                       f1 * f3 * f22 / 24.0]).T
+    if not feedback:
+        # the coefficients of (dt A)^j for the scale f1, f2, f3 at t, t + dt/2
+        # and t + dt, linear in t; CONSTANT's are five scalars
+        t = np.arange(n_steps) * dt if law is RateLaw.SCALED else 0.0
+        f1, f2, f3 = (_rate_scale(model, s) for s in (t, t + 0.5 * dt, t + dt))
+        f22 = f2 * f2
+        coeffs = np.array([np.ones_like(f2), f2, 0.5 * f22, f22 * f2 / 6.0,
+                           f1 * f3 * f22 / 24.0]).T
     states, views = _shifted(x0, 9)
     ones = np.ones(9)
 
     def make(hi):
-        B = None if coeffs.ndim == 1 else np.empty((5, 9, nb, hi))
-        span = max(1, min(n_steps, _BUILD_ROWS // (nb * hi)))
-        ops = np.empty((1 if B is None else span, 9, nb, hi))
         size = max(1, _BUILD_ROWS // hi)
         blocks = [slice(lo, min(lo + size, nb)) for lo in range(0, nb, size)]
-        for chains in blocks:
-            P = (_chain_powers(band, hi, g_down, g_up) if nb == 1
-                 else _band_powers(band.taps[:, :, chains], g_down, g_up))
-            if B is None:
-                ops[0][:, chains] = np.dot(coeffs, P.reshape(5, -1)).reshape(9, -1, hi)
-            else:
-                B[:, :, chains] = P.reshape(5, 9, -1, hi)
-        if B is not None:
-            B, ops_flat = B.reshape(5, -1), ops.reshape(span, -1)
+        build = None
+        if feedback:
+            span = _WINDOW_EVERY if hi < dim else 1
+            ops = np.empty((span, 9, 1, hi))
+            build = _feedback_build(band, model, dt, n_steps, states[:, 0],
+                                    ops.reshape(span, 9, hi))
+        else:
+            span = max(1, min(n_steps, _BUILD_ROWS // (nb * hi)))
+            B = np.empty((5, 9, nb, hi)) if law is RateLaw.SCALED else None
+            ops = np.empty((1 if B is None else span, 9, nb, hi))
+            for chains in blocks:
+                P = (_chain_powers(band, hi, g_down, g_up) if nb == 1
+                     else _band_powers(band.taps[:, :, chains], g_down, g_up))
+                if B is None:
+                    ops[0][:, chains] = np.dot(coeffs, P.reshape(5, -1)).reshape(9, -1, hi)
+                else:
+                    B[:, :, chains] = P.reshape(5, 9, -1, hi)
+            if B is not None:
+                B, ops_flat = B.reshape(5, -1), ops.reshape(span, -1)
+
+                def build(lo):
+                    c = coeffs[lo:lo + span]
+                    np.dot(c, B, out=ops_flat[:len(c)])
 
         prod = np.empty((9, min(size, nb), hi), dtype=x0.dtype)
-        # the input views, product, and the product and output as floats (for
-        # the tap sum, a product with ones) of each block of rows, for a step
-        # that reads the state in buffer 0 and for one that reads buffer 1; a
-        # window short of dim has one row, so its output is contiguous
+        # the input views, product, and the product, output and input as
+        # floats (for the tap sum, a product with ones, to which FEEDBACK adds
+        # the input) of each block of rows, for a step that reads the state in
+        # buffer 0 and for one that reads buffer 1; a window short of dim has
+        # one row, so its output is contiguous
         rows = [[(views[s][:, r, :hi], prod[:, :r.stop - r.start],
                   prod[:, :r.stop - r.start].reshape(9, -1).view(float),
-                  states[1 - s][r, :hi].reshape(-1).view(float)) for r in blocks]
+                  states[1 - s][r, :hi].reshape(-1).view(float),
+                  states[s][r, :hi].reshape(-1).view(float)) for r in blocks]
                 for s in (0, 1)]
         nr = len(blocks)
         parity = (rows[0] + rows[1]) * (span // 2 + 1)
         # step lo + k + 1 of a block of steps applies the k-th run of nr views
         # in op_seq, one per block of rows
         op_seq = list(chain.from_iterable(zip(*[ops[:, :, r] for r in blocks])))
-        op_seq *= span if B is None else 1
+        op_seq *= span if build is None else 1
         built = None
 
         def run(n0, n1):
             nonlocal built
-            multiply, dot = np.multiply, np.dot
+            multiply, dot, add = np.multiply, np.dot, np.add
             for lo in range(n0 - n0 % span, n1, span):
-                if B is not None and lo != built:
-                    c = coeffs[lo:lo + span]
-                    dot(c, B, out=ops_flat[:len(c)])
+                if build is not None and lo != built:
+                    build(lo)
                     built = lo
                 k = max(n0 - lo, 0)
                 # step n + 1 reads the state in buffer n % 2 and writes the other one
-                for op_r, (x_r, prod_r, terms, out) in zip(op_seq[k * nr:(n1 - lo) * nr],
-                                                           parity[(lo + k) % 2 * nr:]):
+                for op_r, (x_r, prod_r, terms, out, x) in zip(op_seq[k * nr:(n1 - lo) * nr],
+                                                              parity[(lo + k) % 2 * nr:]):
                     multiply(op_r, x_r, prod_r)
                     dot(ones, terms, out)
+                    if feedback:
+                        add(out, x, out)
             return states[n1 % 2]
 
         return run
@@ -736,33 +825,22 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
             min_eig0: float | None = None) -> tuple[Trajectory, np.ndarray]:
     """Fixed-step RK4 on the stored diagonals ``x0``, shared by
     :func:`integrate` and the population ladder; returns the trajectory
-    and the final diagonals.  A linear law steps by
-    :func:`_polynomial_step`, FEEDBACK by :func:`_staged_step`, in one
-    ``advance`` call per interval between events: the recorded steps,
-    every ``_CHECK_EVERY``-th step and the last.  A one-row state is
-    stepped on its window of live levels only (:func:`_windowed`), which
-    grows at fixed steps inside ``advance``, whatever the events; every
-    level past it is exactly 0, and every sample and checkpoint reads all
-    dim levels, so each array keeps its shape.  A sample keeps the
-    populations and the purity (each k > 0 diagonal counted twice, for its
-    k < 0 mirror); the mean, trace and rate flags of all samples are
-    evaluated on arrays after the loop.  A checkpoint first calls a state
-    with an entry beyond 2 in modulus (or not finite) blown up, since no
-    state inside the budget has one.  Its minimum eigenvalue is then the
-    minimum population for a diagonal state, else :func:`_min_eigenvalue`'s
-    of the stored entries, with no dense copy of the state.  It leaves out
-    every level whose stored entries are all at most ``_NEGLIGIBLE`` in
-    modulus: the tail, down to subnormal
-    numbers, beyond the levels a short run has reached, which would
-    otherwise set the cost.  Weyl's inequality bounds the change to the
-    minimum by sqrt(2) dim ``_NEGLIGIBLE``, far below ``eigvalsh``'s own
-    rounding.  ``min_eig0``, if given, is the minimum at t = 0.
+    and the final diagonals.  The propagator is advanced once per interval
+    between events: the recorded steps, every ``_CHECK_EVERY``-th step and
+    the last.  A sample keeps the populations and the purity (each k > 0
+    diagonal counted twice, for its k < 0 mirror).  A checkpoint calls a
+    state with an entry beyond 2 in modulus, or not finite, blown up, as no
+    state inside the budget has one; then it checks the trace and the
+    minimum eigenvalue, the minimum population of a diagonal state, else
+    :func:`_min_eigenvalue`'s of the stored entries without those at most
+    ``_NEGLIGIBLE``, which moves it by at most sqrt(2) dim ``_NEGLIGIBLE``
+    (Weyl).  ``min_eig0``, if given, is the minimum at t = 0.
     """
     x = x0
     dt, n_steps = cfg.dt, cfg.n_steps
     # a run of no steps never advances, so it builds no propagator
     advance = None if not n_steps else (
-        _staged_step(band, x0, model, dt) if _rate_scale(model, 0.0) is None
+        _staged_step(band, x0, model, dt) if model.law is RateLaw.FEEDBACK and len(x0) > 1
         else _polynomial_step(band, x0, model, dt, n_steps))
     # Python ints compare fastest
     recorded = [*range(0, n_steps, cfg.record_every), n_steps]

@@ -525,9 +525,10 @@ def test_unstable_step_size_aborts_with_diagnostics(model, t_max):
     assert str(excinfo.value).startswith("state has blown up (unstable step size?)")
 
 
-def _staged_rk4_on_explicit_ladder(p, model, dt, steps):
+def _staged_rk4_on_explicit_ladder(p, model, dt, steps, start=0):
     """The four RK4 stages written out on the tridiagonal population
-    generator dp/dt = (g_down D + g_up U) p, the rates read off each stage."""
+    generator dp/dt = (g_down D + g_up U) p, the rates read off each stage,
+    for the steps start + 1 .. start + steps."""
     level = np.arange(p.size, dtype=float)
     down = diags([level[1:], -level], [1, 0], format="csr")
     up = diags([level[1:], -np.append(level[1:], 0.0)], [-1, 0], format="csr")
@@ -536,7 +537,7 @@ def _staged_rk4_on_explicit_ladder(p, model, dt, steps):
         g_down, g_up = model.rates(t, level @ p)
         return g_down * (down @ p) + g_up * (up @ p)
 
-    for step in range(steps):
+    for step in range(start, start + steps):
         t = step * dt
         k1 = rhs(p, t)
         k2 = rhs(p + 0.5 * dt * k1, t + 0.5 * dt)
@@ -656,6 +657,98 @@ def test_feedback_with_mass_on_the_wall_matches_staged_rk4_on_explicit_ladder(
     traj = run(p0, FEEDBACK, IntegratorConfig(dt=dt, t_end=steps * dt, record_every=steps))
     p = _staged_rk4_on_explicit_ladder(p0, FEEDBACK, dt, steps)
     assert np.abs(traj.populations[-1] - p).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 60), seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.1, 3.0),
+       n_res=st.floats(0.0, 60.0), t0=st.floats(0.0, 3.0), top=st.floats(0.0, 1.0))
+# dims below 4, where the top rows reach the bottom of the chain
+@example(dim=2, seed=1, gamma=1.0, n_res=1.0, t0=0.5, top=0.5)
+@example(dim=3, seed=2, gamma=2.0, n_res=5.0, t0=1.0, top=1.0)
+# a cold state in a warm bath late in the run: g_up < 0 at every stage
+@example(dim=60, seed=1, gamma=2.0, n_res=60.0, t0=2.0, top=0.0)
+def test_feedback_step_at_the_wall_matches_rk4_on_the_banded_operator(dim, seed, gamma, n_res,
+                                                                      t0, top):
+    # one FEEDBACK step of a one-row state on all its levels, whose stage
+    # rates follow from the state's mean, trace and top three entries, against
+    # the four RK4 stages written out with the dense generator, each stage's
+    # rates read off its own state
+    rng = np.random.default_rng(seed)
+    band = lindblad._band(dim, (0,))
+    populations = rng.random(dim) ** 4
+    x = (1.0 - top) * populations / populations.sum()
+    x[-1] += top
+    model = RateModel(law=RateLaw.FEEDBACK, gamma=gamma, n_res=n_res)
+    # a step of about a tenth of the fastest rate's reciprocal
+    dt = 0.1 / (dim * (1.0 + np.abs(model.rates(t0, band.levels @ x)).sum()))
+    # the propagator's two buffers alternate from step 0, so it starts on an even step
+    n0 = 2 * round(t0 / dt / 2)
+
+    def slope(x, t):
+        return band.pack(lindblad_rhs(band.dense(x[None]), t, model))[0]
+
+    t = n0 * dt
+    k1 = slope(x, t)
+    k2 = slope(x + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = slope(x + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = slope(x + dt * k3, t + dt)
+    expect = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    got = lindblad._polynomial_step(band, x[None], model, dt, n0 + 1)(n0, n0 + 1)
+    assert np.abs(got[0] - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
+def _feedback_run_step_by_step(dim, level, n_res, gamma, courant, steps):
+    """A FEEDBACK ladder run of ``steps`` steps from Fock ``level``, advanced
+    one step a call, against one explicit RK4 step from each state it
+    reaches; returns the ends of the windows of live levels it set."""
+    model = RateModel(law=RateLaw.FEEDBACK, gamma=gamma, n_res=n_res)
+    # the law holds for t < 1/gamma
+    dt = min(courant / (2 * dim * gamma * (1 + 2 * n_res)), 0.9 / (gamma * steps))
+    p = number_state(level, dim).diagonal().real
+    ends = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lindblad, "_window_end",
+                      lambda x, end=lindblad._window_end: ends.append(end(x)) or ends[-1])
+        advance = lindblad._polynomial_step(lindblad._band(dim, (0,)), p[None], model, dt, steps)
+        for n in range(steps):
+            expect = _staged_rk4_on_explicit_ladder(p, model, dt, 1, start=n)
+            p = advance(n, n + 1)[0].copy()
+            assert np.abs(p - expect).max() <= 1e-14 * np.abs(expect).max()
+    return ends
+
+
+@settings(max_examples=15, deadline=None)
+@given(dim=st.integers(100, 400), level=st.integers(0, 10), n_res=st.floats(0.5, 5.0),
+       gamma=st.floats(0.5, 2.0), courant=st.floats(0.2, 1.0), steps=st.integers(17, 200))
+def test_feedback_blocks_below_the_wall_match_rk4_step_by_step(dim, level, n_res, gamma,
+                                                               courant, steps):
+    # the rates of each block of steps come from the mean recursion started
+    # at the block's first step; every step of it, the first past a block
+    # edge among them, matches RK4 with its rates read off its own stages
+    _feedback_run_step_by_step(dim, level, n_res, gamma, courant, steps)
+
+
+def test_feedback_run_crosses_a_window_regrowth_and_reaches_the_wall():
+    # Fock 10 at dim 300: the front of the mass passes the first window's
+    # slack, so the window grows mid-run and the blocks go on on the new one
+    ends = _feedback_run_step_by_step(300, 10, 0.5, 1.0, 1.0, 300)
+    assert len(ends) > 1 and ends[-1] < 300
+    # Fock 5 at dim 110: the window grows to all levels, and the run goes on
+    # a step at a time, its stage rates read off the wall
+    ends = _feedback_run_step_by_step(110, 5, 0.5, 1.0, 1.0, 200)
+    assert ends[0] < 110 and ends[-1] == 110
+
+
+@pytest.mark.parametrize("rho0", [number_state(8, 160), thermal_state(2.0, 48)],
+                         ids=["fock8-dim160", "thermal2-dim48"])
+def test_feedback_trace_does_not_drift(rho0):
+    # 4000 steps, below the wall in blocks and then at it a step at a time
+    # (Fock 8), or at the wall throughout (thermal): the step adds its
+    # operator less the identity to the state, so no tap rounds 1 + delta,
+    # which would lose 5e-17 of trace or more a step (2e-13 over this run)
+    cfg = IntegratorConfig(dt=2.5e-4, t_end=1.0, record_every=100)
+    traj = evolve_populations(rho0.diagonal().real, FEEDBACK, cfg)
+    assert np.abs(traj.trace - 1.0).max() <= 5e-14
 
 
 def test_negative_rate_flagged_not_clamped():
@@ -1017,6 +1110,50 @@ def test_chain_tables_give_the_band_powers_bit_for_bit(dim):
                                   expect[..., :hi])
 
 
+def _word_by_word(band, word):
+    """The nine taps of the product of the factors of ``word`` on the k = 0
+    chain of ``band``, D for 0 and U for 1, leftmost first, built from the
+    identity one factor at a time, the last factor first."""
+    (d_diag, d_up), (u_low, u_diag) = band.taps[:, :, 0]
+    zero = np.zeros(band.dim)
+    taps = np.zeros((9, band.dim))
+    taps[4] = 1.0
+    for factor in reversed(word):
+        diag, up, down = (d_diag, d_up, zero) if factor == 0 else (u_diag, zero, u_low)
+        product = diag * taps
+        product[1:, :-1] += up[:-1] * taps[:-1, 1:]
+        product[:-1, 1:] += down[1:] * taps[1:, :-1]
+        taps = product
+    return taps
+
+
+@pytest.mark.parametrize("dim", [*range(1, 61), 800])
+def test_word_tables_give_the_ordered_products_bit_for_bit(dim):
+    # every entry of a product of D and U is an integer, exact in both
+    # builds: the 31 ordered word tables fitted at dims 8 .. 13 give each
+    # word at every other dim, on all levels (with the wall) and on every
+    # window hi <= dim - 4
+    band = lindblad._band(dim, (0,))
+    words = [[m >> (j - 1 - i) & 1 for i in range(j)] for j in range(5) for m in range(2 ** j)]
+    expect = np.array([_word_by_word(band, word) for word in words])
+    windows = {dim, *range(1, dim - 3)} if dim <= 60 else {dim, dim - 4, dim // 2, 1}
+    for hi in sorted(windows):
+        T, basis = lindblad._word_taps(band, hi)
+        assert np.array_equal(np.dot(T, basis), expect[..., :hi])
+
+
+def test_word_sum_tables_are_the_sums_of_the_word_tables():
+    # the 15 tables that CONSTANT and SCALED read sum the ordered words of
+    # each count of D and U, exactly
+    for words, sums in ((lindblad._WORDS_FREE, lindblad._FREE),
+                        (lindblad._WORDS_WALL, lindblad._WALL)):
+        assert np.array_equal(np.dot(lindblad._ORDERINGS, words.reshape(31, -1)),
+                              sums.reshape(15, -1))
+        assert np.all(np.dot(lindblad._ORDERINGS, np.ones(31)) == [1, 1, 1, *[1, 2, 1],
+                                                                   *[1, 3, 3, 1],
+                                                                   *[1, 4, 6, 4, 1]])
+
+
 @pytest.fixture
 def build_calls(monkeypatch):
     """The law of every propagator a run builds."""
@@ -1059,6 +1196,6 @@ def test_runs_share_the_cached_generator_and_nothing_else():
     assert np.array_equal(alone.final_state, final_state)
     band = lindblad._band(dim, (0,))
     for cached in (band.offsets, band.mask, band.powers, band.levels, band.taps, *band.lower,
-                   lindblad._FREE, lindblad._WALL):
+                   lindblad._WORDS_FREE, lindblad._WORDS_WALL, lindblad._FREE, lindblad._WALL):
         with pytest.raises(ValueError, match="read-only"):
             cached[...] = 0

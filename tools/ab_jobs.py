@@ -1,0 +1,78 @@
+"""Interleaved in-process A/B timing of one benchmark workload's jobs.
+
+Loads the ``qcooling`` package of two source trees into one process, each
+bound to its own copy of ``perfbench/jobs.py`` (read, not changed), runs
+every job on A and B alternately, ``--repeat`` times each, and prints the
+best times summed per rate law (or job kind) and their ratio B / A.  Every
+run must pass its oracle gate.  One process holds both sides, so a noisy
+host moves both alike and no per-process calibration plays a part:
+
+    OPENBLAS_NUM_THREADS=1 python tools/ab_jobs.py /path/to/parent/src src \\
+        --workload ladder-sweep --seeds 1 2 3
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import sys
+import tempfile
+import time
+from collections import defaultdict
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(src: str, tag: str):
+    """perfbench's jobs module bound to the qcooling package under ``src``."""
+    for name in [m for m in sys.modules if m.split(".")[0] == "qcooling"]:
+        del sys.modules[name]
+    sys.path.insert(0, str(Path(src).resolve()))
+    try:
+        spec = importlib.util.spec_from_file_location(f"jobs_{tag}", PERFBENCH / "jobs.py")
+        jobs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(jobs)
+    finally:
+        sys.path.pop(0)
+    return jobs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("a", help="source tree A (the directory holding qcooling/)")
+    parser.add_argument("b", help="source tree B")
+    parser.add_argument("--workload", default="ladder-sweep")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args(argv)
+    sides = {"A": load(args.a, "a"), "B": load(args.b, "b")}
+    best, count, failed = {side: defaultdict(float) for side in sides}, defaultdict(int), 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for jobs in sides.values():
+            jobs.warm_up(args.workload)
+        reference = sides["A"].load_reference()
+        for seed in args.seeds:
+            for job in sides["A"].make_jobs(args.workload, seed):
+                key = job.get("law", job["kind"])
+                count[key] += 1
+                times = {side: [] for side in sides}
+                for r in range(args.repeat):
+                    for side in ("A", "B") if r % 2 == 0 else ("B", "A"):
+                        t0 = time.perf_counter()
+                        ok = sides[side].run_job(job, scratch, reference)[0]
+                        times[side].append(time.perf_counter() - t0)
+                        failed += not ok
+                for side in sides:
+                    best[side][key] += min(times[side])
+    print(f"{args.workload}, seeds {args.seeds}, best of {args.repeat}; {failed} failed gates")
+    print(f"{'law':>12} {'jobs':>5} {'A ms':>9} {'B ms':>9} {'B/A':>7}")
+    for key in [*sorted(count), "all"]:
+        a, b = (sum(t.values()) if key == "all" else t[key] for t in best.values())
+        jobs = sum(count.values()) if key == "all" else count[key]
+        print(f"{key:>12} {jobs:>5} {1e3 * a:9.1f} {1e3 * b:9.1f} {b / a:7.3f}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
