@@ -687,9 +687,9 @@ def _feedback_build(band: _Band, model: RateModel, dt: float, n_steps: int, rows
     Q, q = np.dot(np.concatenate(K, axis=1), T[1:].reshape(30, -1)), len(basis)
     # the mean, the trace and rows n - 2 .. n, n = dim - 1, of the state, and
     # the taps of D and U on rows n - 1 (dd1, ...) and n, zero below level 0
-    moments = np.vstack((band.levels, np.ones(dim), np.eye(3, dim, dim - 3)))
-    ((dd1, dd), (du1, _)), ((ul1, ul), (ud1, ud)) = np.pad(
-        band.taps[:, :, 0], ((0, 0), (0, 0), (2, 0)))[..., -2:].tolist()
+    moments, top = np.vstack((band.levels, np.ones(dim), np.eye(3, dim, dim - 3))), np.zeros(8)
+    top.reshape(2, 2, 2)[..., -min(dim, 2):] = band.taps[:, :, 0, -2:]
+    dd1, dd, du1, _, ul1, ul, ud1, ud = top.tolist()
     # (c_s, w_s, the weight of the stage's slope in the step, and whether to
     # carry the top rows into the next stage's input: at the wall the means
     # of stages 3 and 4 read row n of the inputs of stages 2 and 3)
