@@ -59,18 +59,32 @@ live levels ends short of dim, every top entry is exactly 0, and the
 rates of a block of ``_WINDOW_EVERY`` steps follow from the state at its
 first step, the mean carried from step to step by the same identity; at
 the wall they are read a step at a time, the stage inputs' top entries
-from the state's top 3 through the top rows' taps.  Such a step is
-x + (P - I) x for its operator P, so that no tap holds a rounded 1 + delta,
-whose error would add up step after step.  A state with more than one row under FEEDBACK is
+from the state's top 3 through the top rows' taps.  A tap reused step
+after step must not hold a rounded 1 + delta, whose error adds up, so
+this step is x + (P - I) x for its operator P.  A CONSTANT step on all
+dim levels is fixed for the rest of the run; if a power fits in 8
+``_BUILD_ROWS`` (rows dim^2) and four squarings cost less than the steps
+(rows dim^3 <= 4 ``_BUILD_ROWS`` n_steps), it is applied as dense powers
+E_m = P^m - I, E_2m = 2 E_m + E_m^2 squared when first read
+(:func:`_dense_steps`): a chain state takes x + E_16 x every 16 steps
+from the step this starts at, and a sample r steps past that is a copy
+given x + E_m x for the set bits m of r, lowest first, so it depends on
+its step alone.  Other CONSTANT runs keep P, whose diagonal tap holds
+fl(1 + delta).  A state with more than one row under FEEDBACK is
 stepped a stage at a time, each stage's rates read off its own input
 (:func:`_staged_step`).  Both propagators share one call shape,
 ``advance(n0, n1)``, which runs steps n0 + 1 .. n1, and a run calls it
 once per interval between its events: the recorded steps, every 100th
 step and the last, where it samples and checkpoints.  A one-row state is
-stepped, and its operator built, only on the window of levels that can
-carry an entry above ``_NEGLIGIBLE`` before the next of its checks, every
-``_WINDOW_EVERY`` steps (:func:`_windowed`); past it the state stays
-exactly 0.  The band of each recent (dim, offsets) is kept, read-only.
+stepped, and its operator built, only on a window of its first hi levels,
+past which it stays exactly 0 (:func:`_windowed`).  RK4 moves an entry at
+most 4 levels a step, so the window holds every entry above
+``_NEGLIGIBLE`` for ``_WINDOW_EVERY`` steps if none lies in its last 4
+``_WINDOW_EVERY`` levels.  That is checked at every multiple of
+``_WINDOW_EVERY`` steps, whatever the intervals; where it fails, the
+window is set 2 ``_WINDOW_EVERY`` levels wider than that needs, or to
+dim within 4 levels of the wall, and the steps are rebuilt.  The band of
+each recent (dim, offsets) is kept, read-only.
 The README gives the step's measured stability limit; a step beyond it
 blows up, and the next checkpoint raises IntegrationError, naming the
 blow-up.
@@ -565,20 +579,15 @@ def lindblad_rhs(rho: np.ndarray, t: float, model: RateModel) -> np.ndarray:
 
 # stored entries (rows x dim) whose step operator _polynomial_step builds and
 # applies at once, and the most a block of SCALED step operators spans (steps
-# x rows x dim): a Fock or few-level state is one block of entries, while a
-# fully coherent one needs 45 * _BUILD_ROWS floats of build temporaries and
-# 9 * _BUILD_ROWS products, not copies of its operator
+# x rows x dim), or 1/8 of a dense power's entries: a Fock or few-level state
+# is one block of entries, while a fully coherent one needs 45 * _BUILD_ROWS
+# floats of build temporaries and 9 * _BUILD_ROWS products
 _BUILD_ROWS = 2048
 
 
 def _window_end(x: np.ndarray) -> int:
-    """End of the window of levels [0, hi) a run steps x on until the window
-    needs to grow: 6 ``_WINDOW_EVERY`` levels past x's highest level with
-    an entry beyond ``_NEGLIGIBLE`` in modulus (4 to hold every live entry
-    until the next check, and 2 more, so that the window is not set again
-    at the next one), or all dim levels if that comes within 4 of the top
-    level, where the wall is, or x has more than one row
-    (:func:`_windowed`)."""
+    """End hi of the window of levels [0, hi) to step x on (module
+    docstring); all dim levels if x has more than one row."""
     nb, dim = x.shape
     if nb > 1 or dim < 6 * _WINDOW_EVERY + 4:
         return dim
@@ -589,15 +598,9 @@ def _window_end(x: np.ndarray) -> int:
 
 def _windowed(make, x0: np.ndarray):
     """``advance(n0, n1)`` for the state x0, a propagator's own buffer,
-    whose steps ``make(hi)`` builds on its first hi levels, as a
-    ``run(n0, n1)`` that runs steps n0 + 1 .. n1 and returns the state.
-    RK4 moves an entry at most 4 levels a step, so the window holds every
-    entry above ``_NEGLIGIBLE`` for ``_WINDOW_EVERY`` steps if none lies in
-    its last 4 ``_WINDOW_EVERY`` levels.  That is checked after every
-    multiple of ``_WINDOW_EVERY`` steps, whatever intervals ``advance`` is
-    called with, until the window has all dim levels; where it fails, the
-    window is set again (:func:`_window_end`) and the steps rebuilt.  Past
-    the window the buffers stay exactly 0."""
+    whose steps ``make(hi)`` builds on its first hi levels as a
+    ``run(n0, n1)`` that runs steps n0 + 1 .. n1 and returns the state,
+    its first call at the step ``make`` is called at (module docstring)."""
     dim, every = x0.shape[1], _WINDOW_EVERY
     hi = _window_end(x0)
     run = make(hi)
@@ -664,27 +667,37 @@ def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
     return _windowed(lambda hi: advance, x)
 
 
-def _feedback_build(band: _Band, model: RateModel, dt: float, n_steps: int, rows, ops):
+# K[S, w] of a FEEDBACK run, the coefficient in word w's weight of the
+# product over the stages s in S of e_s, stage s's shift of both rates, sums
+# 52 pairs of a run of n = 1 .. 4 consecutive stages a .. a + n - 1 and a word
+# of length n, whose factor from stage a + q is U where bit q is set: the run's
+# RK4 weight if it covers S (_RUN_WEIGHT) times _RUN_FACTOR[q, S, pair] over q,
+# indices into (dt, dt times D's or U's base rate, 1): dt in S, 1 past the run
+def _run_tables():
+    n, a, m, w = np.array([(n, a, m, w) for n, ws in enumerate(
+        (np.array([1, 2, 2, 1]) / 6, [1 / 6] * 3, [1 / 12] * 2, [1 / 24]), 1)
+        for a, w in enumerate(ws) for m in range(2 ** n)]).T
+    n, a, m = (v.astype(int) for v in (n, a, m))
+    S, q = np.arange(16)[:, None], np.arange(4)[:, None, None]
+    return (np.where(q >= n, 3, np.where(S >> (a + q) & 1, 0, 1 + (m >> q & 1))),
+            np.where(S & ~(2 ** n - 1 << a) == 0, w, 0.0),
+            np.equal.outer(2 ** n - 2 + m, range(30)) * 1.0)
+
+
+_RUN_FACTOR, _RUN_WEIGHT, _RUN_WORD = _run_tables()
+
+
+def _feedback_build(band: _Band, model: RateModel, dt: float, n_steps: int, rows, ops, K):
     """``build(lo)``, which writes to ops, shape (span, 9, hi), the nine
     taps of P - I for each FEEDBACK step lo + 1 .. lo + span (at most
     n_steps) of a one-row state on its first hi levels, P the step's
-    operator, from the state at step lo, rows[lo % 2] (module docstring)."""
+    operator, from the state at step lo, rows[lo % 2], and the run's K
+    (:data:`_RUN_FACTOR`; module docstring)."""
     dim, span, hi = band.dim, len(ops), ops.shape[-1]
     wall = hi == dim    # else every entry on rows n - 2 .. n is 0
     T, basis = _word_taps(band, hi)
-    base_down, base_up = model.rates(0.0, 0.0)
-    # K[S, w]: the coefficient in word w's weight of the product of the e_s
-    # over S, e_s stage s's shift of both rates: a sum over the runs of stages
-    # that cover S, a stage in S giving dt, any other dt times its base rate
-    subsets = np.arange(16)[:, None]
-    r = dt * np.where((subsets >> np.arange(4) & 1)[..., None], 1.0, [base_down, base_up])
-    K, p = [], r
-    # the weights of the runs of n consecutive stages, by first stage
-    for n, w in enumerate((np.array([1, 2, 2, 1]) / 6, [1 / 6] * 3, [1 / 12] * 2, [1 / 24]), 1):
-        cover = (subsets & ~((2 ** n - 1) << np.arange(5 - n))) == 0
-        K.append(np.einsum("ask,as->ak", p, np.multiply(w, cover)))
-        p = (r[:, n:, :, None] * p[:, :-1, None]).reshape(16, 4 - n, 2 ** (n + 1))
-    Q, q = np.dot(np.concatenate(K, axis=1), T[1:].reshape(30, -1)), len(basis)
+    base_up = model.rates(0.0, 0.0)[1]
+    Q, q = np.dot(K, T[1:].reshape(30, -1)), len(basis)
     # the mean, the trace and rows n - 2 .. n, n = dim - 1, of the state, and
     # the taps of D and U on rows n - 1 (dd1, ...) and n, zero below level 0
     moments, top = np.vstack((band.levels, np.ones(dim), np.eye(3, dim, dim - 3))), np.zeros(8)
@@ -730,14 +743,44 @@ def _feedback_build(band: _Band, model: RateModel, dt: float, n_steps: int, rows
     return build
 
 
+def _dense_steps(taps: np.ndarray, states: np.ndarray):
+    """``run(n0, n1)``, returning the state at step n1, for the fixed step
+    x + E x, E = P - I with the nine taps ``taps`` (9, rows, dim) on all
+    levels, from states[n0 % 2] at the n0 of its first call (module docstring)."""
+    nb, dim = taps.shape[1:]
+    buf = np.zeros((nb, dim, dim + 8))
+    # tap d of row i lands in column i + d of the buffer, i + d - 4 of E
+    as_strided(buf, taps.shape, (8, 8 * dim * (dim + 8), 8 * (dim + 9)))[...] = taps
+    powers, at = [buf[..., 4:-4]], None
+    pair = np.empty((2, nb, dim), states.dtype)   # the chain state and a sample
+    chain, sample = pair.view(float).reshape(2, nb, dim, -1)
+
+    def apply(j, v):
+        while len(powers) <= j:
+            powers.append(2.0 * powers[-1] + np.matmul(powers[-1], powers[-1]))
+        v += np.matmul(powers[j], v)
+
+    def run(n0, n1):
+        nonlocal at
+        if at is None:
+            at, pair[0] = n0, states[n0 % 2]
+        for _ in range((n1 - at) // 16):
+            apply(4, chain)
+        at = n1 - (n1 - at) % 16
+        pair[1] = pair[0]
+        for j in range(4):
+            if (n1 - at) >> j & 1:
+                apply(j, sample)
+        return pair[1]
+
+    return run
+
+
 def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
                      dt: float, n_steps: int):
-    """RK4 steps from x0 for a linear law, or FEEDBACK on one row, each one
-    nine-tap operator (module docstring); ``advance(n0, n1)`` runs steps
-    n0 + 1 .. n1 on the window of live levels (:func:`_windowed`) and
-    returns the state.  The operators of a block of ``span`` steps, from a
-    multiple of span, are built at its first step, so the intervals a run
-    is advanced in change no bit."""
+    """RK4 steps from x0 for a linear law, or FEEDBACK on one row (module
+    docstring); ``advance(n0, n1)`` runs steps n0 + 1 .. n1 and returns the
+    state, whose every bit depends on n1 alone, not on the intervals."""
     nb, dim = x0.shape
     law = model.law
     feedback = law is RateLaw.FEEDBACK
@@ -750,6 +793,9 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
         f22 = f2 * f2
         coeffs = np.array([np.ones_like(f2), f2, 0.5 * f22, f22 * f2 / 6.0,
                            f1 * f3 * f22 / 24.0]).T
+    else:
+        f = np.array([dt, g_down, g_up, 1.0])[_RUN_FACTOR]
+        K = np.dot(f[0] * f[1] * f[2] * f[3] * _RUN_WEIGHT, _RUN_WORD)
     states, views = _shifted(x0, 9)
     ones = np.ones(9)
 
@@ -761,7 +807,13 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
             span = _WINDOW_EVERY if hi < dim else 1
             ops = np.empty((span, 9, 1, hi))
             build = _feedback_build(band, model, dt, n_steps, states[:, 0],
-                                    ops.reshape(span, 9, hi))
+                                    ops.reshape(span, 9, hi), K)
+        elif (law is RateLaw.CONSTANT and hi == dim and nb * dim * dim <= 8 * _BUILD_ROWS
+              and nb * dim ** 3 <= 4 * _BUILD_ROWS * n_steps):
+            P = (_chain_powers(band, dim, g_down, g_up) if nb == 1
+                 else _band_powers(band.taps, g_down, g_up))
+            return _dense_steps(np.dot(coeffs[1:], P[1:].reshape(4, -1)).reshape(9, nb, dim),
+                                states)
         else:
             span = max(1, min(n_steps, _BUILD_ROWS // (nb * hi)))
             B = np.empty((5, 9, nb, hi)) if law is RateLaw.SCALED else None
@@ -825,17 +877,15 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
             min_eig0: float | None = None) -> tuple[Trajectory, np.ndarray]:
     """Fixed-step RK4 on the stored diagonals ``x0``, shared by
     :func:`integrate` and the population ladder; returns the trajectory
-    and the final diagonals.  The propagator is advanced once per interval
-    between events: the recorded steps, every ``_CHECK_EVERY``-th step and
-    the last.  A sample keeps the populations and the purity (each k > 0
-    diagonal counted twice, for its k < 0 mirror).  A checkpoint calls a
-    state with an entry beyond 2 in modulus, or not finite, blown up, as no
-    state inside the budget has one; then it checks the trace and the
-    minimum eigenvalue, the minimum population of a diagonal state, else
-    :func:`_min_eigenvalue`'s of the stored entries without those at most
-    ``_NEGLIGIBLE``, which moves it by at most sqrt(2) dim ``_NEGLIGIBLE``
-    (Weyl).  ``min_eig0``, if given, is the minimum at t = 0.
-    """
+    and the final diagonals.  A sample keeps the populations and the
+    purity (each k > 0 diagonal counted twice, for its k < 0 mirror).  A
+    checkpoint calls a state with an entry beyond 2 in modulus, or not
+    finite, blown up, as no state inside the budget has one; then it checks
+    the trace and the minimum eigenvalue, the minimum population of a
+    diagonal state, else :func:`_min_eigenvalue`'s of the stored entries
+    without those at most ``_NEGLIGIBLE``, which moves it by at most
+    sqrt(2) dim ``_NEGLIGIBLE`` (Weyl).  ``min_eig0``, if given, is the
+    minimum at t = 0."""
     x = x0
     dt, n_steps = cfg.dt, cfg.n_steps
     # a run of no steps never advances, so it builds no propagator

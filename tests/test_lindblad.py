@@ -830,6 +830,109 @@ def test_banded_integrate_matches_explicit_products(dim, seed, support_size, law
     assert np.abs(traj.populations[-1] - expect.diagonal().real).max() < 1e-12
 
 
+def _dense_spy(patch):
+    """The (rows, dim) of every dense CONSTANT step a run builds."""
+    shapes = []
+
+    def spy(taps, states, build=lindblad._dense_steps):
+        shapes.append(taps.shape[1:])
+        return build(taps, states)
+    patch.setattr(lindblad, "_dense_steps", spy)
+    return shapes
+
+
+@pytest.fixture
+def dense_builds(monkeypatch):
+    return _dense_spy(monkeypatch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 64), seed=st.integers(0, 2**32 - 1), support_size=st.integers(1, 3),
+       n_res=st.floats(0.5, 2.0), courant=st.floats(0.01, 0.2), steps=st.integers(1, 70),
+       every=st.sampled_from([1, 5, 16, None]))
+# the step counts on either side of one and two blocks of 16 steps
+@example(dim=48, seed=1, support_size=3, n_res=2.0, courant=0.2, steps=15, every=None)
+@example(dim=48, seed=1, support_size=3, n_res=2.0, courant=0.2, steps=16, every=None)
+@example(dim=48, seed=1, support_size=3, n_res=2.0, courant=0.2, steps=17, every=16)
+@example(dim=64, seed=2, support_size=1, n_res=1.0, courant=0.2, steps=31, every=5)
+@example(dim=64, seed=2, support_size=1, n_res=1.0, courant=0.2, steps=32, every=1)
+@example(dim=64, seed=2, support_size=2, n_res=1.0, courant=0.2, steps=33, every=16)
+def test_dense_constant_steps_match_explicit_products(dim, seed, support_size, n_res,
+                                                     courant, steps, every):
+    # 1 to 4 stored diagonals (1 to 3 levels), real or complex, stepped by the
+    # cached powers of the fixed step on all levels; a build budget that
+    # admits every run puts each on that path, and every sample, whichever
+    # steps it falls on, is the explicit RK4 state at its step
+    rng = np.random.default_rng(seed)
+    levels = rng.choice(dim, size=min(support_size, dim), replace=False)
+    amps = rng.normal(size=levels.size) + 1j * rng.normal(size=levels.size)
+    rho = _pure_state(dict(zip(levels.tolist(), amps)), dim)
+    model = RateModel(law=RateLaw.CONSTANT, gamma=GAMMA, n_res=n_res)
+    dt = courant / (2 * dim * GAMMA * (1 + 2 * n_res))
+    cfg = IntegratorConfig(dt=dt, t_end=steps * dt, record_every=every or steps)
+    with pytest.MonkeyPatch.context() as patch:
+        shapes = _dense_spy(patch)
+        patch.setattr(lindblad, "_BUILD_ROWS", 2 ** 40)
+        traj = integrate(rho, model, cfg)
+    assert shapes == [(len(check_density_matrix(rho)[0]), dim)]
+    expect = [rho]
+    for _ in range(steps):
+        expect.append(_explicit_rk4(expect[-1], model, dt, 1))
+    for got, purity, step in zip(traj.populations, traj.purity, cfg.recorded_steps):
+        assert np.abs(got - expect[step].diagonal().real).max() < 1e-12
+        assert purity == pytest.approx(np.vdot(expect[step], expect[step]).real, abs=1e-12)
+    assert np.abs(traj.final_state - expect[-1]).max() < 1e-12
+
+
+def test_dense_constant_steps_after_a_window_regrowth_match_the_banded_steps(windows,
+                                                                            dense_builds):
+    # a heating run from Fock 0 steps its first window of 97 levels on the
+    # banded step, grows it to all 128 (the largest one-row dim whose powers
+    # fit the build budget) and goes on with cached powers counted from the
+    # step it grew at; a zero build budget keeps it on the banded step
+    dim, dt, steps = 128, 2e-4, 400
+    model = RateModel(law=RateLaw.CONSTANT, gamma=GAMMA, n_res=8.0)
+    p0 = number_state(0, dim).diagonal().real
+    cfg = IntegratorConfig(dt=dt, t_end=steps * dt, record_every=7)
+    traj = evolve_populations(p0, model, cfg)
+    assert windows[0] < dim == windows[-1] and dense_builds == [(1, dim)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lindblad, "_BUILD_ROWS", 0)
+        banded = evolve_populations(p0, model, cfg)
+    assert len(dense_builds) == 1
+    assert np.abs(traj.populations - banded.populations).max() < 1e-13
+
+
+def test_dense_constant_steps_are_taken_by_small_fixed_steps_only(dense_builds):
+    # the cached powers need all levels (a fixed step), a power within 8
+    # build budgets and a run long enough to pay for its four squarings; the
+    # last two runs off the path fail only the second and only the third
+    three = _pure_state({0: 1.0, 3: 1.0j, 5: -1.0}, 48)
+    coherent200 = _pure_state({0: 1.0, 3: 1.0j, 5: -1.0}, 200)
+    on = [(three, 2.5e-4, 120), (number_state(8, 48), 2.5e-4, 100)]
+    off = [(coherent200, 2.5e-5, 30), (number_state(8, 800), 5e-5, 150),
+           (thermal_state(8.0, 150), 5e-5, 500), (three, 2.5e-4, 30)]
+    for rho0, dt, steps in on + off:
+        integrate(rho0, CONSTANT, IntegratorConfig(dt=dt, t_end=steps * dt))
+    assert dense_builds == [(4, 48), (1, 48)]
+    for model in (SCALED, FEEDBACK):
+        for rho0, dt, steps in on + off:
+            integrate(rho0, model, IntegratorConfig(dt=dt, t_end=steps * dt))
+    assert len(dense_builds) == 2
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg: evolve_populations(thermal_state(2.0, 48).diagonal().real, CONSTANT, cfg),
+    lambda cfg: integrate(_pure_state({2: 1.0, 5: 1.0j, 9: -1.0}, 48), CONSTANT, cfg)],
+    ids=["ladder-thermal2-dim48", "integrate-superposition-dim48"])
+def test_constant_trace_does_not_drift_on_the_dense_path(run, dense_builds):
+    # 4000 steps on cached powers of P - I: no reused tap holds a rounded
+    # 1 + delta (the banded step's one tap does, 4.4e-14 over these runs)
+    traj = run(IntegratorConfig(dt=2.5e-4, t_end=1.0, record_every=100))
+    assert len(dense_builds) == 1
+    assert np.abs(traj.trace - 1.0).max() <= 5e-15
+
+
 def _fully_coherent(dim, seed):
     # every level occupied, so every diagonal of rho is stored and stepped
     rng = np.random.default_rng(seed)
