@@ -14,55 +14,55 @@ Three rate laws are supported (:class:`RateLaw`):
 
 * ``CONSTANT``  g_down = g (1 + n_res),  g_up = g n_res  -- fixed rates.
 * ``FEEDBACK``  both rates get the additive, state-dependent correction
-  c = g^2 (n_sys(t) - n_res) t read off the instantaneous state.  As
-  g_down - g_up = g, the mean is n_res + (n(0) - n_res) exp(-g t + g^2 t^2/2),
-  which diverges past t = 1/g, so the law is only meaningful on t < 1/g.
-  From n(0) = 8 into n_res = 2 it reads 5.64 at t = 1/g, against 4.21 for
-  Newton's law and 3.34 for the accelerated one: it cools slower than
-  Newton's, and ``SCALED`` is the law that shows the acceleration.  It can
-  also drive g_up negative when n_sys < n_res; such rates are flagged per
-  sample, not clamped.
+  c = g^2 (n_sys(t) - n_res) t read off the instantaneous state, so
+  g_down = g_up + g always, and the mean is
+  n_res + (n(0) - n_res) exp(-g t + g^2 t^2/2), which diverges past
+  t = 1/g: the law is only meaningful on t < 1/g.  It can drive g_up
+  negative when n_sys < n_res; such rates are flagged per sample, not
+  clamped.
 * ``SCALED``    both constant rates multiplied by (1 + g t), which makes
   the mean occupation follow the accelerated closed form
   n_res + (n(0) - n_res) exp(-g t (1 + g t / 2)) exactly.
 
-All operators are truncated consistently to the lowest ``dim`` Fock
-levels (a+ annihilates the top level), which keeps the generator exactly
-trace preserving; the price is a reflecting wall at the top whose effect
-on n_sys(t) is set by the population reaching the highest level.
-:func:`default_dim` sizes the truncation by a Poisson-tail rule; a
-thermal state's geometric tail needs more levels (``_thermal_dim``).
+All operators are truncated to the lowest ``dim`` Fock levels (a+
+annihilates the top level), so the generator preserves the trace exactly,
+at the price of a reflecting wall at the top (sized by
+:func:`default_dim` and ``_thermal_dim``).
 
 Only the diagonals rho[i + k, i] (k >= 0) present at t = 0 are stored,
 one per row of a (rows, dim) array, and each evolves on its own under
-A = g_down D + g_up U for two fixed tridiagonal chains D and U, which
-:class:`_Band` stores as their four planes that are not always zero.  An
-RK4 step whose stages have the generators A_1 .. A_4 is, in M_s = dt A_s,
-1 + sum_s b_s M_s / 6 + sum M_{s+1} M_s / 6 + sum M_{s+2} M_{s+1} M_s / 12
-+ M_4 M_3 M_2 M_1 / 24, b = (1, 2, 2, 1): one nine-tap operator, stored
-taps-first and applied with one product with views of the state and one
-tap sum (:func:`_polynomial_step`).  Under CONSTANT and SCALED, A_s is
-A times the rate scale, so the step is a polynomial in dt A.  On the
-k = 0 chain (every diagonal state, and the ladder) the taps of each of
-the 31 ordered words of at most 4 factors D and U are integer
-polynomials in the level, or in the top level on the top 4 rows, which
-reach the wall, held with their 15 sums over orderings in fixed tables
-(:func:`_chain_tables`); a linear law weighs the sums by its rates.
-FEEDBACK on one row weighs the words by its stage rates, which shift both
-base rates by one c_s, so each weight is a sum of 16 products of the
-c_s times a matrix fixed per run.  The rates are read through
-RateModel.rates before the step, at the stage means: n_1 = n, the
-state's, and n_{s+1} = n + w_s levels.(A_s x_s), w_s stage s + 1's weight,
-where levels.(A x) = -g_down n + g_up (n + trace - dim x_top) on the
-truncated chain, the last term the wall.  Below it, where the window of
-live levels ends short of dim, every top entry is exactly 0, and the
-rates of a block of ``_WINDOW_EVERY`` steps follow from the state at its
-first step, the mean carried from step to step by the same identity; at
-the wall they are read a step at a time, the stage inputs' top entries
-from the state's top 3 through the top rows' taps.  A tap reused step
-after step must not hold a rounded 1 + delta, whose error adds up, so
-this step is x + (P - I) x for its operator P.  A CONSTANT step on all
-dim levels is fixed for the rest of the run; if a power fits in 8
+A = g_down D + g_up U for two fixed tridiagonal chains D and U
+(:class:`_Band`).  An RK4 step whose stages have the generators
+A_1 .. A_4 is, in M_s = dt A_s, b = (1, 2, 2, 1),
+
+    P = 1 + sum_s b_s M_s / 6 + sum M_{s+1} M_s / 6
+          + sum M_{s+2} M_{s+1} M_s / 12 + M_4 M_3 M_2 M_1 / 24,
+
+one nine-tap operator, stored taps-first and applied with one product
+with views of the state and one tap sum (:func:`_polynomial_step`).  In
+D and U, P is a weighted sum of the 31 ordered words of at most 4
+factors, whose taps on the k = 0 chain (every diagonal state, and the
+ladder) are fixed integer tables (:func:`_word_taps`).  Under CONSTANT
+and SCALED every A_s is A times the rate scale, and a word of length j
+with u factors U weighs g_down^(j - u) g_up^u.  Under FEEDBACK on one
+row a factor weighs its stage's U-rate e_s, plus g for a D, so each
+word's weight is a sum of the 16 products of the e_s times a matrix
+fixed per run.  The rates are read through RateModel.rates before the
+step, at the stage means: n_1 = n, the state's, and
+n_{s+1} = n + w_s levels.(A_s x_s), w_s stage s + 1's weight, where
+levels.(A x) = -g_down n + g_up (n + trace - dim x_top) on the truncated
+chain, the last term the wall.  Below it, where the window of live
+levels ends short of dim, every top entry is exactly 0, and the rates of
+a block of ``_WINDOW_EVERY`` steps follow from the state at its first
+step, the mean carried from step to step by the same identity; at the
+wall they are read a step at a time, the stage inputs' top entries from
+the state's top 3 through the top rows' taps.  A state with more than
+one row under FEEDBACK is stepped a stage at a time instead, each
+stage's rates read off its own input (:func:`_staged_step`).
+
+A tap reused step after step must not hold a rounded 1 + delta, whose
+error adds up, so a FEEDBACK step is x + (P - I) x.  A CONSTANT step on
+all dim levels is fixed for the rest of the run; if a power fits in 8
 ``_BUILD_ROWS`` (rows dim^2) and four squarings cost less than the steps
 (rows dim^3 <= 4 ``_BUILD_ROWS`` n_steps), it is applied as dense powers
 E_m = P^m - I, E_2m = 2 E_m + E_m^2 squared when first read
@@ -70,24 +70,24 @@ E_m = P^m - I, E_2m = 2 E_m + E_m^2 squared when first read
 from the step this starts at, and a sample r steps past that is a copy
 given x + E_m x for the set bits m of r, lowest first, so it depends on
 its step alone.  Other CONSTANT runs keep P, whose diagonal tap holds
-fl(1 + delta).  A state with more than one row under FEEDBACK is
-stepped a stage at a time, each stage's rates read off its own input
-(:func:`_staged_step`).  Both propagators share one call shape,
-``advance(n0, n1)``, which runs steps n0 + 1 .. n1, and a run calls it
-once per interval between its events: the recorded steps, every 100th
-step and the last, where it samples and checkpoints.  A one-row state is
-stepped, and its operator built, only on a window of its first hi levels,
-past which it stays exactly 0 (:func:`_windowed`).  RK4 moves an entry at
-most 4 levels a step, so the window holds every entry above
-``_NEGLIGIBLE`` for ``_WINDOW_EVERY`` steps if none lies in its last 4
-``_WINDOW_EVERY`` levels.  That is checked at every multiple of
-``_WINDOW_EVERY`` steps, whatever the intervals; where it fails, the
-window is set 2 ``_WINDOW_EVERY`` levels wider than that needs, or to
-dim within 4 levels of the wall, and the steps are rebuilt.  The band of
-each recent (dim, offsets) is kept, read-only.
-The README gives the step's measured stability limit; a step beyond it
-blows up, and the next checkpoint raises IntegrationError, naming the
-blow-up.
+fl(1 + delta).
+
+Every propagator has one call shape, ``advance(n0, n1)``, which runs
+steps n0 + 1 .. n1, and a run calls it once per interval between its
+events: the recorded steps, every 100th step and the last, where it
+samples and checkpoints.  A one-row state is stepped, and its operator
+built, only on a window of its first hi levels, past which it stays
+exactly 0 (:func:`_windowed`).  RK4 moves an entry at most 4 levels a
+step, so the window holds every entry above ``_NEGLIGIBLE`` for
+``_WINDOW_EVERY`` steps if none lies in its last 4 ``_WINDOW_EVERY``
+levels.  That is checked at every multiple of ``_WINDOW_EVERY`` steps,
+whatever the intervals; where it fails, the window is set
+2 ``_WINDOW_EVERY`` levels wider than that needs, or to dim within 4
+levels of the wall, and the steps are rebuilt.  The band of each recent
+(dim, offsets), and the word taps of each recent (band, window), are
+kept, read-only.  The README gives the step's measured stability limit;
+a step beyond it blows up, and the next checkpoint raises
+IntegrationError, naming the blow-up.
 """
 
 from __future__ import annotations
@@ -461,16 +461,10 @@ def _band_powers(taps: np.ndarray, g_down, g_up) -> np.ndarray:
     return P
 
 
-# the 31 ordered words of at most 4 factors of D and U by length j, the m-th
+# the 31 ordered words of at most 4 factors of D and U, by length j, the m-th
 # word of length j having U as its factor i from the left where bit j - 1 - i
-# of m is set; and the 15 word sums, by length j and then by falling count of
-# D: the sums of length j start at j (j + 1) / 2, the m-th being of the words
-# with j - m factors D and m factors U; _POWER_OF_WORD[j] marks them, and
-# _ORDERINGS maps the words to their sums
-_WORD_D, _WORD_U = np.array([(a, j - a) for j in range(5) for a in range(j, -1, -1)]).T
-_POWER_OF_WORD = np.equal.outer(np.arange(5), _WORD_D + _WORD_U)
-_ORDERINGS = np.equal.outer(np.arange(15), [j * (j + 1) // 2 + m.bit_count()
-                                            for j in range(5) for m in range(2 ** j)])
+# of m is set: each word's length and its count of U
+_WORD_LEN, _WORD_U = np.array([(j, m.bit_count()) for j in range(5) for m in range(2 ** j)]).T
 
 
 def _chain_tables():
@@ -478,9 +472,9 @@ def _chain_tables():
     taps W[w, d, i] multiplying x[i + d - 4]: ``free[w, 5 d + p]`` of i^p
     on each row i at least 4 below the top level n = dim - 1 (a path below
     level 0 has a zero factor), ``wall[36 w + 4 d + r, p]`` of n^p on row
-    n - 3 + r; then both of the 15 word sums.  Built a factor at a time on
-    the chains of dims 8 .. 13, fitted at levels 4 .. 8 of the last and
-    the top 4 rows of the others.  Read-only."""
+    n - 3 + r.  Built a factor at a time on the chains of dims 8 .. 13,
+    fitted at levels 4 .. 8 of the last and the top 4 rows of the others.
+    Read-only."""
     dims = range(8, 14)
     taps = np.zeros((2, 2, len(dims), 13))
     for n, dim in enumerate(dims):
@@ -501,31 +495,15 @@ def _chain_tables():
 
     free = fit(4.0, W[:, :, -1, 4:9].reshape(-1, 5).T).reshape(31, 45)
     wall = fit(7.0, np.reshape([W[:, :, n, dim - 4:dim] for n, dim in enumerate(dims[:-1])],
-                               (5, -1))).reshape(31, -1)
-    tables = (free, wall.reshape(-1, 5), np.dot(_ORDERINGS, free),
-              np.dot(_ORDERINGS, wall).reshape(-1, 5))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+                               (5, -1))).reshape(-1, 5)
+    free.flags.writeable = wall.flags.writeable = False
+    return free, wall
 
 
-_WORDS_FREE, _WORDS_WALL, _FREE, _WALL = _chain_tables()
+_WORDS_FREE, _WORDS_WALL = _chain_tables()
 
 
-def _chain_powers(band: _Band, hi: int, g_down: float, g_up: float) -> np.ndarray:
-    """(g_down D + g_up U)^j on the first ``hi`` rows of the k = 0 chain of
-    ``band`` (hi <= dim - 4 or hi = dim) for j = 0 .. 4, as nine taps each,
-    shape (5, 9, hi): the rate weights g_down^a g_up^b of the words (a, b)
-    of length j times the tables of :func:`_chain_tables`, times the powers
-    of the levels, or on the top 4 rows, when hi = dim, of the top level."""
-    weights = _POWER_OF_WORD * (g_down ** _WORD_D * g_up ** _WORD_U)
-    P = np.dot(np.dot(weights, _FREE).reshape(45, 5), band.powers[:, :hi]).reshape(5, 9, hi)
-    if hi == band.dim:
-        top = np.dot(_WALL, band.powers[:, -1]).reshape(15, 36)
-        P[..., -4:] = np.dot(weights, top).reshape(5, 9, 4)[..., max(0, 4 - hi):]
-    return P
-
-
+@lru_cache(maxsize=16)
 def _word_taps(band: _Band, hi: int):
     """The 31 words on the first ``hi`` levels of the k = 0 chain of
     ``band`` (hi <= dim - 4 or hi = dim) as T (31, 9, q) times a basis
@@ -536,7 +514,20 @@ def _word_taps(band: _Band, hi: int):
         wall = np.dot(_WORDS_WALL, band.powers[:, -1]).reshape(31, 9, 4)
         T = np.concatenate((T, wall), axis=2)
         basis = np.concatenate((basis * (band.levels < hi - 4), np.eye(4, hi, hi - 4)))
+        T.flags.writeable = basis.flags.writeable = False
     return T, basis
+
+
+def _chain_powers(band: _Band, hi: int, g_down: float, g_up: float) -> np.ndarray:
+    """(g_down D + g_up U)^j on the first ``hi`` levels of the k = 0 chain
+    of ``band`` (hi <= dim - 4 or hi = dim) for j = 0 .. 4, as nine taps
+    each, shape (5, 9, hi): the words of length j of :func:`_word_taps`
+    weighed by the rates (module docstring)."""
+    T, basis = _word_taps(band, hi)
+    weights = np.equal.outer(range(5), _WORD_LEN) * (g_down ** (_WORD_LEN - _WORD_U)
+                                                     * g_up ** _WORD_U)
+    return np.dot(np.dot(weights, T.reshape(31, -1)).reshape(-1, len(basis)),
+                  basis).reshape(5, 9, hi)
 
 
 def _shifted(x0: np.ndarray, width: int):
@@ -663,16 +654,16 @@ def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
             add(x, y, out=x)
         return x
 
-    # the window of a state of more than one row is all its levels
-    return _windowed(lambda hi: advance, x)
+    return advance
 
 
 # K[S, w] of a FEEDBACK run, the coefficient in word w's weight of the
-# product over the stages s in S of e_s, stage s's shift of both rates, sums
-# 52 pairs of a run of n = 1 .. 4 consecutive stages a .. a + n - 1 and a word
-# of length n, whose factor from stage a + q is U where bit q is set: the run's
-# RK4 weight if it covers S (_RUN_WEIGHT) times _RUN_FACTOR[q, S, pair] over q,
-# indices into (dt, dt times D's or U's base rate, 1): dt in S, 1 past the run
+# product over the stages s in S of e_s, stage s's U-rate (its D-rate being
+# e_s + gamma), sums 52 pairs of a run of n = 1 .. 4 consecutive stages
+# a .. a + n - 1 and a word of length n, whose factor from stage a + q is U
+# where bit q is set: the run's RK4 weight if it covers S (_RUN_WEIGHT) times
+# _RUN_FACTOR[q, S, pair] over q, indices into (dt, dt gamma, 0, 1): dt in S,
+# dt gamma for a factor D outside S, 0 for a factor U outside it, 1 past the run
 def _run_tables():
     n, a, m, w = np.array([(n, a, m, w) for n, ws in enumerate(
         (np.array([1, 2, 2, 1]) / 6, [1 / 6] * 3, [1 / 12] * 2, [1 / 24]), 1)
@@ -696,7 +687,6 @@ def _feedback_build(band: _Band, model: RateModel, dt: float, n_steps: int, rows
     dim, span, hi = band.dim, len(ops), ops.shape[-1]
     wall = hi == dim    # else every entry on rows n - 2 .. n is 0
     T, basis = _word_taps(band, hi)
-    base_up = model.rates(0.0, 0.0)[1]
     Q, q = np.dot(K, T[1:].reshape(30, -1)), len(basis)
     # the mean, the trace and rows n - 2 .. n, n = dim - 1, of the state, and
     # the taps of D and U on rows n - 1 (dd1, ...) and n, zero below level 0
@@ -719,7 +709,7 @@ def _feedback_build(band: _Band, model: RateModel, dt: float, n_steps: int, rows
             t, n_s, n_next, y1, y2, e = n * dt, n_bar, n_bar, z1, z2, []
             for c, w, b, top in stages:
                 g_down, g_up = rates(t + c, n_s)
-                e.append(g_up - base_up)
+                e.append(g_up)
                 slope = g_up * (n_s + trace - dim * y2) - g_down * n_s
                 n_s, n_next = n_bar + w * slope, n_next + b * slope
                 if top:
@@ -794,7 +784,7 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
         coeffs = np.array([np.ones_like(f2), f2, 0.5 * f22, f22 * f2 / 6.0,
                            f1 * f3 * f22 / 24.0]).T
     else:
-        f = np.array([dt, g_down, g_up, 1.0])[_RUN_FACTOR]
+        f = np.array([dt, dt * model.gamma, 0.0, 1.0])[_RUN_FACTOR]
         K = np.dot(f[0] * f[1] * f[2] * f[3] * _RUN_WEIGHT, _RUN_WORD)
     states, views = _shifted(x0, 9)
     ones = np.ones(9)
@@ -883,9 +873,7 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
     finite, blown up, as no state inside the budget has one; then it checks
     the trace and the minimum eigenvalue, the minimum population of a
     diagonal state, else :func:`_min_eigenvalue`'s of the stored entries
-    without those at most ``_NEGLIGIBLE``, which moves it by at most
-    sqrt(2) dim ``_NEGLIGIBLE`` (Weyl).  ``min_eig0``, if given, is the
-    minimum at t = 0."""
+    above ``_NEGLIGIBLE``.  ``min_eig0``, if given, is the minimum at t = 0."""
     x = x0
     dt, n_steps = cfg.dt, cfg.n_steps
     # a run of no steps never advances, so it builds no propagator
@@ -893,7 +881,7 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
         _staged_step(band, x0, model, dt) if model.law is RateLaw.FEEDBACK and len(x0) > 1
         else _polynomial_step(band, x0, model, dt, n_steps))
     # Python ints compare fastest
-    recorded = [*range(0, n_steps, cfg.record_every), n_steps]
+    recorded = cfg.recorded_steps.tolist()
     events = sorted({*recorded, *range(0, n_steps, _CHECK_EVERY), n_steps})
     pops, purities, check_times, min_eigs = [], [], [], []
 
