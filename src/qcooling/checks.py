@@ -64,17 +64,7 @@ def ladder_equivalence_suite() -> list[CheckResult]:
     """Populations of the k = 0 chain from ``integrate`` vs the closed-form
     channel (:mod:`qcooling.channel`), at every recorded sample of one
     run per rate law from Fock 8 into n_res 2 at dim 48.  The channel is
-    the untruncated solution, so it shares no code with the run.  Each
-    bound is at least 4x the distance measured, which has one cause:
-
-    * constant, 4e-5 (measured 8.7e-6): RK4 error at dt 0.005, where
-      dt rho(A) is about 2.1; at dt 0.0005 it reads 2.6e-9.
-    * scaled, 2e-7 (measured 4.3e-8): RK4 error at dt 0.001; at dt 0.0002
-      it reads 3.8e-9.
-    * feedback, 1e-5 (measured 2.5e-6): the reflecting wall at dim 48, as
-      the closed form's mass beyond it reaches 2.6e-5 by t = 1; at dim 80
-      it reads 5.8e-10.
-    """
+    the untruncated solution, so it shares no code with the run."""
     cases = [
         (RateLaw.CONSTANT, 0.005, 3.0, 4e-5),
         (RateLaw.SCALED, 0.001, 3.0, 2e-7),    # rate scale grows, needs smaller dt

@@ -50,12 +50,18 @@ class LadderOp(Enum):
     RAISE = "raise"
 
 
+def _check_occupation(name: str, n: float) -> None:
+    if not (math.isfinite(n) and n >= 0):
+        raise ValueError(f"{name} must be >= 0 and finite, got {n}")
+
+
 def thermal_two_point(left: LadderOp, right: LadderOp, n_bar: float) -> complex:
     """Single-mode thermal expectation <left . right>.
 
     <raise lower> = n_bar, <lower raise> = 1 + n_bar, and the
     particle-nonconserving pairs vanish (the thermal state is diagonal).
     """
+    _check_occupation("n_bar", n_bar)
     if left is LadderOp.RAISE and right is LadderOp.LOWER:
         return complex(n_bar)
     if left is LadderOp.LOWER and right is LadderOp.RAISE:
@@ -91,8 +97,7 @@ def brute_force_four_point(ops: tuple[LadderOp, LadderOp, LadderOp, LadderOp],
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    if not (math.isfinite(n_bar) and n_bar >= 0):
-        raise ValueError(f"n_bar must be >= 0 and finite, got {n_bar}")
+    _check_occupation("n_bar", n_bar)
     x = n_bar / (1.0 + n_bar)
     if x > 0 and x ** dim > 1e-10:
         raise ValueError(
@@ -120,7 +125,7 @@ def brute_force_four_point(ops: tuple[LadderOp, LadderOp, LadderOp, LadderOp],
 class ModeGrid:
     """Discretized reservoir band: frequencies, the strength profile
     D(w) |k(w)|^2 (density of states times squared coupling), and
-    quadrature weights turning mode sums into integrals."""
+    quadrature weights turning mode sums into integrals, all finite."""
 
     frequencies: np.ndarray
     strength: np.ndarray
@@ -132,14 +137,14 @@ class ModeGrid:
             raise ValueError("frequencies must be a 1-D array of >= 2 modes")
         if not np.all(np.diff(f) > 0):
             raise ValueError("frequencies must be strictly increasing")
-        if f[0] <= 0:
-            raise ValueError("frequencies must be positive")
+        if not (f[0] > 0 and math.isfinite(f[-1])):
+            raise ValueError("frequencies must be positive and finite")
         for name in ("strength", "weights"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != f.shape:
                 raise ValueError(f"{name} must match frequencies in shape")
-            if np.any(arr < 0):
-                raise ValueError(f"{name} must be nonnegative")
+            if not np.all((arr >= 0) & np.isfinite(arr)):
+                raise ValueError(f"{name} must be nonnegative and finite")
 
     @classmethod
     def flat_band(cls, omega0: float, half_width: float,
@@ -213,11 +218,12 @@ def evolved_spectral_density(grid: ModeGrid, omega0: float, n_sys: float,
     the post-transient window is too short for a trustworthy fit (narrow
     band and/or short times).  The values are real, stored as complex.
     """
+    _check_occupation("n_sys", n_sys)
     t_values = np.asarray(t_values, dtype=float)
     if t_values.ndim != 1 or t_values.size < 2:
         raise ValueError("t_values must be a 1-D array of >= 2 times")
-    if np.any(t_values <= 0) or not np.all(np.diff(t_values) > 0):
-        raise ValueError("t_values must be positive and strictly increasing")
+    if not (t_values[0] > 0 and np.all(np.diff(t_values) > 0) and math.isfinite(t_values[-1])):
+        raise ValueError("t_values must be positive, finite and strictly increasing")
     f = grid.frequencies
     if not (f[0] < omega0 < f[-1]):
         raise ValueError(f"omega0={omega0} not inside grid span")

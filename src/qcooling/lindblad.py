@@ -41,10 +41,13 @@ A_1 .. A_4 is, in M_s = dt A_s, b = (1, 2, 2, 1),
 one nine-tap operator, stored taps-first and applied with one product
 with views of the state and one tap sum (:func:`_polynomial_step`).  In
 D and U, P is a weighted sum of the 31 ordered words of at most 4
-factors, whose taps on the k = 0 chain (every diagonal state, and the
-ladder) are fixed integer tables (:func:`_word_taps`).  Under CONSTANT
-and SCALED every A_s is A times the rate scale, and a word of length j
-with u factors U weighs g_down^(j - u) g_up^u.  Under FEEDBACK on one
+factors (:func:`_products`), whose taps on the k = 0 chain (every
+diagonal state, and the ladder) are integers: on a row at least 4 below
+the top, polynomials in its level with one fixed table of coefficients,
+and on the top 4 rows, which reach the wall, each band's own, built on
+its top 8 levels (:func:`_word_taps`).  Under CONSTANT and SCALED every
+A_s is A times the rate scale, and a word of length j with u factors U
+weighs g_down^(j - u) g_up^u.  Under FEEDBACK on one
 row a factor weighs its stage's U-rate e_s, plus g for a D, so each
 word's weight is a sum of the 16 products of the e_s times a matrix
 fixed per run.  The rates are read through RateModel.rates before the
@@ -84,10 +87,9 @@ levels.  That is checked at every multiple of ``_WINDOW_EVERY`` steps,
 whatever the intervals; where it fails, the window is set
 2 ``_WINDOW_EVERY`` levels wider than that needs, or to dim within 4
 levels of the wall, and the steps are rebuilt.  The band of each recent
-(dim, offsets), and the word taps of each recent (band, window), are
-kept, read-only.  The README gives the step's measured stability limit;
-a step beyond it blows up, and the next checkpoint raises
-IntegrationError, naming the blow-up.
+(dim, offsets), with its top rows' words, is kept, read-only.  The
+README gives the step's measured stability limit; a step beyond it blows
+up, and the next checkpoint raises IntegrationError, naming the blow-up.
 """
 
 from __future__ import annotations
@@ -385,10 +387,12 @@ class _Band:
     ``taps`` holds the planes of D (a = 0) and U (a = 1) that are not
     always zero, shape (2, 2, rows, dim), taps[a, b] multiplying
     x[j, i + b - a]; they vanish on the padding and at both row ends, so
-    the padding stays zero.  Row 0 is always k = 0, the population ladder;
-    when it is the only row the state is real and diagonal.  ``g`` is the
-    gcd of the offsets.  Every array is read-only, so that one band can
-    serve every run on its (dim, offsets) (:func:`_band`).
+    the padding stays zero.  ``top`` holds row 0's planes on its top 8
+    levels, zero below level 0: no path of at most 4 steps from the top 4
+    rows leaves them.  Row 0 is always k = 0, the population ladder; when it is the only row
+    the state is real and diagonal.  ``g`` is the gcd of the offsets.
+    Every array is read-only, so that one band can serve every run on its
+    (dim, offsets) (:func:`_band`).
     """
 
     def __init__(self, dim: int, offsets):
@@ -409,10 +413,25 @@ class _Band:
         top = top[:, :-1] + 1.0
         self.taps[0, 1, :, :-1] = np.where(top < dim, np.sqrt(top * (i[:-1] + 1.0)), 0.0)
         self.taps[1, 0, :, 1:] = self.taps[0, 1, :, :-1]
+        self.top = np.zeros((2, 2, 8))
+        self.top[..., -min(dim, 8):] = self.taps[:, :, 0, -8:]
         rows, cols = np.nonzero(inside)
         self.lower = (cols + self.offsets[rows], cols)
-        for a in (self.offsets, self.mask, self.powers, self.levels, self.taps, *self.lower):
+        for a in (self.offsets, self.mask, self.powers, self.levels, self.taps, self.top,
+                  *self.lower):
             a.flags.writeable = False
+
+    @cached_property
+    def wall(self):
+        """The 31 words on all dim levels of the k = 0 chain as T (31, 9, 9)
+        times a basis (9, dim): the powers 0 .. 4 of the levels below the
+        top 4 rows, and those rows' indicators, their taps built on ``top``."""
+        n = self.dim
+        T = np.concatenate((_WORDS_FREE, _products(self.top[:, :, None], np.eye(2))[:, :, 0, 4:]),
+                           axis=2)
+        basis = np.concatenate((self.powers * (self.levels < n - 4), np.eye(4, n, n - 4)))
+        T.flags.writeable = basis.flags.writeable = False
+        return T, basis
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
         """Stored diagonals of the Hermitian part of rho (real if k = 0 only)."""
@@ -437,27 +456,27 @@ class _Band:
 _band = lru_cache(maxsize=16)(_Band)
 
 
-def _times(diag, up, down, W):
-    """F W for the tridiagonal F with taps ``diag``, ``up`` and ``down`` on
-    the rows of W, nine taps each (..., 9, rows, n) as :func:`_band_powers`
-    stores them; F's taps broadcast against them."""
-    out = diag * W
-    out[..., 1:, :, :-1] += up[..., :-1] * W[..., :-1, :, 1:]
-    out[..., :-1, :, 1:] += down[..., 1:] * W[..., 1:, :, :-1]
-    return out
-
-
-def _band_powers(taps: np.ndarray, g_down, g_up) -> np.ndarray:
-    """(g_down D + g_up U)^j for j = 0 .. 4 on the chains whose planes are
-    ``taps``, shape (2, 2, rows, n) as :class:`_Band` stores them, as nine
-    taps each, shape (5, 9, rows, n), built one factor at a time."""
+def _products(taps: np.ndarray, rates) -> np.ndarray:
+    """Every product of at most 4 factors r_D D + r_U U, each one of the f
+    rows (r_D, r_U) of ``rates``, on the chains whose planes are ``taps``
+    (2, 2, rows, n) as :class:`_Band` stores them, as nine taps each, shape
+    (1 + f + .. + f^4, 9, rows, n): by length, then by the factors' rows,
+    the leftmost the most significant.  Built a factor at a time."""
     (d_diag, d_up), (u_low, u_diag) = taps
-    # the entries [i, i], [i, i + 1] and [i, i - 1] of every chain
-    diag, up, down = g_down * d_diag + g_up * u_diag, g_down * d_up, g_up * u_low
-    P = np.zeros((5, 9, *diag.shape))
+    # the entries [i, i], [i, i + 1] and [i, i - 1] of every chain, per factor
+    factors = [(r_d * d_diag + r_u * u_diag, r_d * d_up, r_u * u_low) for r_d, r_u in rates]
+    f = len(factors)
+    P = np.zeros((1 + f + f ** 2 + f ** 3 + f ** 4, 9, *d_diag.shape))
     P[0, 4] = 1.0
-    for j in range(1, 5):
-        P[j] = _times(diag, up, down, P[j - 1])
+    start, m = 0, 1   # the products of the last length, P[start:start + m]
+    for _ in range(4):
+        prev = P[start:start + m]
+        for r, (diag, up, down) in enumerate(factors, 1):
+            block = P[start + r * m:start + (r + 1) * m]
+            np.multiply(diag, prev, out=block)
+            block[:, 1:, :, :-1] += up[:, :-1] * prev[:, :-1, :, 1:]
+            block[:, :-1, :, 1:] += down[:, 1:] * prev[:, 1:, :, :-1]
+        start, m = start + m, f * m
     return P
 
 
@@ -465,57 +484,22 @@ def _band_powers(taps: np.ndarray, g_down, g_up) -> np.ndarray:
 # word of length j having U as its factor i from the left where bit j - 1 - i
 # of m is set: each word's length and its count of U
 _WORD_LEN, _WORD_U = np.array([(j, m.bit_count()) for j in range(5) for m in range(2 ** j)]).T
+# the integer coefficient _WORDS_FREE[w, d, p] of i^p in tap d, multiplying
+# x[i + d - 4], of word w on each row i of the k = 0 chain at least 4 below its
+# top level (a path below level 0 has a zero factor), fitted at levels 4 .. 8
+# of the dim-13 chain
+_WORDS_FREE = np.rint(np.dot(np.linalg.inv(np.vander(np.arange(4.0, 9.0), increasing=True)),
+                             _products(_Band(13, (0,)).taps, np.eye(2))[:, :, 0, 4:9]
+                             .reshape(-1, 5).T).T).reshape(31, 9, 5)
+_WORDS_FREE.flags.writeable = False
 
 
-def _chain_tables():
-    """Integer coefficients of the 31 words W[w] of the k = 0 chain, nine
-    taps W[w, d, i] multiplying x[i + d - 4]: ``free[w, 5 d + p]`` of i^p
-    on each row i at least 4 below the top level n = dim - 1 (a path below
-    level 0 has a zero factor), ``wall[36 w + 4 d + r, p]`` of n^p on row
-    n - 3 + r.  Built a factor at a time on the chains of dims 8 .. 13,
-    fitted at levels 4 .. 8 of the last and the top 4 rows of the others.
-    Read-only."""
-    dims = range(8, 14)
-    taps = np.zeros((2, 2, len(dims), 13))
-    for n, dim in enumerate(dims):
-        taps[..., n, :dim] = _Band(dim, (0,)).taps[:, :, 0]
-    (d_diag, d_up), (u_low, u_diag) = taps
-    zero = np.zeros_like(d_diag)
-    # the diagonal, upper and lower taps of D (first) and U (second)
-    factors = [np.array(f)[:, None, None] for f in ((d_diag, u_diag), (d_up, zero), (zero, u_low))]
-    words = [np.zeros((1, 9, len(dims), 13))]
-    words[0][0, 4] = 1.0
-    for _ in range(4):
-        words.append(_times(*factors, words[-1]).reshape(-1, 9, len(dims), 13))
-    W = np.concatenate(words)
-
-    def fit(x, y):
-        # the coefficients of the polynomials of degree <= 4 through y at x .. x + 4
-        return np.rint(np.dot(np.linalg.inv(np.vander(x + np.arange(5.0), increasing=True)), y).T)
-
-    free = fit(4.0, W[:, :, -1, 4:9].reshape(-1, 5).T).reshape(31, 45)
-    wall = fit(7.0, np.reshape([W[:, :, n, dim - 4:dim] for n, dim in enumerate(dims[:-1])],
-                               (5, -1))).reshape(-1, 5)
-    free.flags.writeable = wall.flags.writeable = False
-    return free, wall
-
-
-_WORDS_FREE, _WORDS_WALL = _chain_tables()
-
-
-@lru_cache(maxsize=16)
 def _word_taps(band: _Band, hi: int):
     """The 31 words on the first ``hi`` levels of the k = 0 chain of
     ``band`` (hi <= dim - 4 or hi = dim) as T (31, 9, q) times a basis
-    (q, hi): the powers 0 .. 4 of the levels, and when hi = dim, in place
-    of them on the top 4 rows, which reach the wall, those rows' indicators."""
-    T, basis = _WORDS_FREE.reshape(31, 9, 5), band.powers[:, :hi]
-    if hi == band.dim:
-        wall = np.dot(_WORDS_WALL, band.powers[:, -1]).reshape(31, 9, 4)
-        T = np.concatenate((T, wall), axis=2)
-        basis = np.concatenate((basis * (band.levels < hi - 4), np.eye(4, hi, hi - 4)))
-        T.flags.writeable = basis.flags.writeable = False
-    return T, basis
+    (q, hi): the powers 0 .. 4 of the levels, or on all dim levels
+    :attr:`_Band.wall`."""
+    return band.wall if hi == band.dim else (_WORDS_FREE, band.powers[:, :hi])
 
 
 def _chain_powers(band: _Band, hi: int, g_down: float, g_up: float) -> np.ndarray:
@@ -689,10 +673,9 @@ def _feedback_build(band: _Band, model: RateModel, dt: float, n_steps: int, rows
     T, basis = _word_taps(band, hi)
     Q, q = np.dot(K, T[1:].reshape(30, -1)), len(basis)
     # the mean, the trace and rows n - 2 .. n, n = dim - 1, of the state, and
-    # the taps of D and U on rows n - 1 (dd1, ...) and n, zero below level 0
-    moments, top = np.vstack((band.levels, np.ones(dim), np.eye(3, dim, dim - 3))), np.zeros(8)
-    top.reshape(2, 2, 2)[..., -min(dim, 2):] = band.taps[:, :, 0, -2:]
-    dd1, dd, du1, _, ul1, ul, ud1, ud = top.tolist()
+    # the taps of D and U on rows n - 1 (dd1, ...) and n
+    moments = np.vstack((band.levels, np.ones(dim), np.eye(3, dim, dim - 3)))
+    dd1, dd, du1, _, ul1, ul, ud1, ud = band.top[..., -2:].ravel().tolist()
     # (c_s, w_s, the weight of the stage's slope in the step, and whether to
     # carry the top rows into the next stage's input: at the wall the means
     # of stages 3 and 4 read row n of the inputs of stages 2 and 3)
@@ -801,7 +784,7 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
         elif (law is RateLaw.CONSTANT and hi == dim and nb * dim * dim <= 8 * _BUILD_ROWS
               and nb * dim ** 3 <= 4 * _BUILD_ROWS * n_steps):
             P = (_chain_powers(band, dim, g_down, g_up) if nb == 1
-                 else _band_powers(band.taps, g_down, g_up))
+                 else _products(band.taps, [(g_down, g_up)]))
             return _dense_steps(np.dot(coeffs[1:], P[1:].reshape(4, -1)).reshape(9, nb, dim),
                                 states)
         else:
@@ -810,7 +793,7 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
             ops = np.empty((1 if B is None else span, 9, nb, hi))
             for chains in blocks:
                 P = (_chain_powers(band, hi, g_down, g_up) if nb == 1
-                     else _band_powers(band.taps[:, :, chains], g_down, g_up))
+                     else _products(band.taps[:, :, chains], [(g_down, g_up)]))
                 if B is None:
                     ops[0][:, chains] = np.dot(coeffs, P.reshape(5, -1)).reshape(9, -1, hi)
                 else:

@@ -1201,16 +1201,49 @@ def test_word_sums_give_the_powers_of_the_population_generator(dim, hi, g_down, 
         assert np.abs(got - taps[:, :hi]).max() <= bound
 
 
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(3, 39), k=st.integers(1, 5), g_down=st.floats(0.0, 5.0),
+       g_up=st.floats(0.0, 5.0), dt=st.floats(1e-4, 1.0))
+# a diagonal of one entry, and the largest step on the largest chain
+@example(dim=6, k=5, g_down=1.0, g_up=2.0, dt=0.1)
+@example(dim=39, k=1, g_down=5.0, g_up=5.0, dt=1.0)
+def test_products_give_the_powers_of_a_coherence_generator(dim, k, g_down, g_up, dt):
+    # (dt A)^j on the offset-k diagonal, written densely from the
+    # dissipator's matrix elements, against the powers a state with
+    # coherences builds its step from, on the rows of that diagonal
+    k = min(k, dim - 1)
+    n = dim - k
+    model = SimpleNamespace(rates=lambda t, n_sys: (g_down, g_up))
+    step = np.zeros((n, n))
+    for level in range(n):
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[level + k, level] = 1.0
+        step[:, level] = dt * lindblad_rhs(rho, 0.0, model).diagonal(-k).real
+    band = lindblad._band(dim, (0, k))
+    powers = lindblad._products(band.taps, [(dt * g_down, dt * g_up)])[:, :, 1]
+    assert powers.shape == (5, 9, dim)
+    i = np.arange(n)
+    for j, got in enumerate(powers):
+        m = np.linalg.matrix_power(step, j)
+        taps = np.zeros((9, n))
+        for d in range(9):
+            inside = (i + d - 4 >= 0) & (i + d - 4 < n)
+            taps[d, inside] = m[i[inside], i[inside] + d - 4]
+        bound = 1e-13 * np.abs(m).max() + np.finfo(float).tiny
+        assert np.abs(got[:, band.mask[1]] - taps).max() <= bound
+
+
 @pytest.mark.parametrize("dim", [*range(1, 8), *range(13, 61), 800])
 def test_chain_tables_give_the_band_powers_bit_for_bit(dim):
     # at integer rates every entry of a power is an integer, exact in both
-    # builds: the tables fitted at dims 8 .. 13 give the one-factor-at-a-time
-    # powers of _band_powers at every other dim, on all levels (with the
-    # wall) and on every window hi <= dim - 4, and so the same operators
+    # builds: the table fitted at dim 13 and each band's wall words give the
+    # one-factor-at-a-time powers of _products at every other dim, on all
+    # levels (with the wall) and on every window hi <= dim - 4, and so the
+    # same operators
     band = lindblad._band(dim, (0,))
     windows = {dim, *range(1, dim - 3)} if dim <= 60 else {dim, dim - 4, dim // 2, 1}
     for g_down, g_up in ((1.0, 2.0), (3.0, 1.0), (0.0, 5.0), (7.0, 0.0)):
-        expect = lindblad._band_powers(band.taps, g_down, g_up)[:, :, 0]
+        expect = lindblad._products(band.taps, [(g_down, g_up)])[:, :, 0]
         for hi in sorted(windows):
             assert np.array_equal(lindblad._chain_powers(band, hi, g_down, g_up),
                                   expect[..., :hi])
@@ -1236,9 +1269,9 @@ def _word_by_word(band, word):
 @pytest.mark.parametrize("dim", [*range(1, 61), 800])
 def test_word_tables_give_the_ordered_products_bit_for_bit(dim):
     # every entry of a product of D and U is an integer, exact in both
-    # builds: the 31 ordered word tables fitted at dims 8 .. 13 give each
-    # word at every other dim, on all levels (with the wall) and on every
-    # window hi <= dim - 4
+    # builds: the 31 ordered word tables, fitted at dim 13 and with each
+    # band's wall words, give each word at every other dim, on all levels
+    # (with the wall) and on every window hi <= dim - 4
     band = lindblad._band(dim, (0,))
     words = [[m >> (j - 1 - i) & 1 for i in range(j)] for j in range(5) for m in range(2 ** j)]
     expect = np.array([_word_by_word(band, word) for word in words])
@@ -1290,6 +1323,6 @@ def test_runs_share_the_cached_generator_and_nothing_else():
     assert np.array_equal(alone.final_state, final_state)
     band = lindblad._band(dim, (0,))
     for cached in (band.offsets, band.mask, band.powers, band.levels, band.taps, *band.lower,
-                   lindblad._WORDS_FREE, lindblad._WORDS_WALL, *lindblad._word_taps(band, dim)):
+                   lindblad._WORDS_FREE, band.top, *lindblad._word_taps(band, dim)):
         with pytest.raises(ValueError, match="read-only"):
             cached[...] = 0

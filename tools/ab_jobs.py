@@ -5,7 +5,11 @@ bound to its own copy of ``perfbench/jobs.py`` (read, not changed), runs
 every job on A and B alternately, ``--repeat`` times each, and prints the
 best times summed per rate law (or job kind) and their ratio B / A.  Every
 run must pass its oracle gate.  One process holds both sides, so a noisy
-host moves both alike and no per-process calibration plays a part:
+host moves both alike and no per-process calibration plays a part.  One
+more, untimed run of each job per side keeps the trajectories its
+``lindblad.integrate`` and ``ladder.evolve_populations`` calls return, and
+the report counts, per law, the trajectory jobs whose populations, purity
+and final state are bit-identical on A and B, with the largest differences:
 
     OPENBLAS_NUM_THREADS=1 python tools/ab_jobs.py /path/to/parent/src src \\
         --workload ladder-sweep --seeds 1 2 3
@@ -38,6 +42,33 @@ def load(src: str, tag: str):
     return jobs
 
 
+def captured(jobs, job, scratch, reference):
+    """(passed its gate, the trajectories it recorded) of one untimed run
+    of ``job`` on the side ``jobs``."""
+    kept = []
+
+    def keeping(call):
+        def wrapper(*args, **kwargs):
+            kept.append(call(*args, **kwargs))
+            return kept[-1]
+        return wrapper
+
+    calls = jobs.lindblad.integrate, jobs.ladder.evolve_populations
+    jobs.lindblad.integrate, jobs.ladder.evolve_populations = map(keeping, calls)
+    try:
+        ok = jobs.run_job(job, scratch, reference)[0]
+    finally:
+        jobs.lindblad.integrate, jobs.ladder.evolve_populations = calls
+    return ok, kept
+
+
+def identical(a, b) -> bool:
+    """Whether two arrays (or two Nones) hold the same bits."""
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="source tree A (the directory holding qcooling/)")
@@ -48,6 +79,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sides = {"A": load(args.a, "a"), "B": load(args.b, "b")}
     best, count, failed = {side: defaultdict(float) for side in sides}, defaultdict(int), 0
+    # per law: trajectory jobs, bit-identical ones, largest |dp| and |dpurity| / purity
+    same = defaultdict(lambda: [0, 0, 0.0, 0.0])
     with tempfile.TemporaryDirectory() as scratch:
         for jobs in sides.values():
             jobs.warm_up(args.workload)
@@ -65,12 +98,32 @@ def main(argv=None) -> int:
                         failed += not ok
                 for side in sides:
                     best[side][key] += min(times[side])
+                kept = {}
+                for side in sides:
+                    ok, kept[side] = captured(sides[side], job, scratch, reference)
+                    failed += not ok
+                if not kept["A"]:
+                    continue
+                tally = same[key]
+                tally[0] += 1
+                tally[1] += len(kept["A"]) == len(kept["B"]) and all(
+                    identical(getattr(a, f), getattr(b, f))
+                    for a, b in zip(kept["A"], kept["B"])
+                    for f in ("populations", "purity", "final_state"))
+                for a, b in zip(kept["A"], kept["B"]):
+                    tally[2] = max(tally[2], float(abs(a.populations - b.populations).max()))
+                    tally[3] = max(tally[3], float((abs(a.purity - b.purity) / a.purity).max()))
     print(f"{args.workload}, seeds {args.seeds}, best of {args.repeat}; {failed} failed gates")
     print(f"{'law':>12} {'jobs':>5} {'A ms':>9} {'B ms':>9} {'B/A':>7}")
     for key in [*sorted(count), "all"]:
         a, b = (sum(t.values()) if key == "all" else t[key] for t in best.values())
         jobs = sum(count.values()) if key == "all" else count[key]
         print(f"{key:>12} {jobs:>5} {1e3 * a:9.1f} {1e3 * b:9.1f} {b / a:7.3f}")
+    if same:
+        print("trajectory output, B against A (populations, purity and final state)")
+        print(f"{'law':>12} {'jobs':>5} {'identical':>9} {'max |dp|':>9} {'max rel dpurity':>15}")
+        for key, (jobs, equal, dp, dpurity) in sorted(same.items()):
+            print(f"{key:>12} {jobs:>5} {equal:>9} {dp:9.2e} {dpurity:15.2e}")
     return 1 if failed else 0
 
 
