@@ -125,14 +125,17 @@ def brute_force_four_point(ops: tuple[LadderOp, LadderOp, LadderOp, LadderOp],
 class ModeGrid:
     """Discretized reservoir band: frequencies, the strength profile
     D(w) |k(w)|^2 (density of states times squared coupling), and
-    quadrature weights turning mode sums into integrals, all finite."""
+    quadrature weights turning mode sums into integrals, all finite and
+    stored as float arrays, whatever sequences they are given as."""
 
     frequencies: np.ndarray
     strength: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
+        for name in ("frequencies", "strength", "weights"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        f = self.frequencies
         if f.ndim != 1 or f.size < 2:
             raise ValueError("frequencies must be a 1-D array of >= 2 modes")
         if not np.all(np.diff(f) > 0):
@@ -140,7 +143,7 @@ class ModeGrid:
         if not (f[0] > 0 and math.isfinite(f[-1])):
             raise ValueError("frequencies must be positive and finite")
         for name in ("strength", "weights"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = getattr(self, name)
             if arr.shape != f.shape:
                 raise ValueError(f"{name} must match frequencies in shape")
             if not np.all((arr >= 0) & np.isfinite(arr)):

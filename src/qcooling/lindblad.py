@@ -15,9 +15,8 @@ Three rate laws are supported (:class:`RateLaw`):
 * ``CONSTANT``  g_down = g (1 + n_res),  g_up = g n_res  -- fixed rates.
 * ``FEEDBACK``  both rates get the additive, state-dependent correction
   c = g^2 (n_sys(t) - n_res) t read off the instantaneous state, so
-  g_down = g_up + g always, and the mean is
-  n_res + (n(0) - n_res) exp(-g t + g^2 t^2/2), which diverges past
-  t = 1/g: the law is only meaningful on t < 1/g.  It can drive g_up
+  g_down = g_up + g always.  Its mean (``channel.parameters``) diverges
+  past t = 1/g: the law is only meaningful on t < 1/g.  It can drive g_up
   negative when n_sys < n_res; such rates are flagged per sample, not
   clamped.
 * ``SCALED``    both constant rates multiplied by (1 + g t), which makes
@@ -39,13 +38,16 @@ A_1 .. A_4 is, in M_s = dt A_s, b = (1, 2, 2, 1),
           + sum M_{s+2} M_{s+1} M_s / 12 + M_4 M_3 M_2 M_1 / 24,
 
 one nine-tap operator, stored taps-first and applied with one product
-with views of the state and one tap sum (:func:`_polynomial_step`).  In
-D and U, P is a weighted sum of the 31 ordered words of at most 4
-factors (:func:`_products`), whose taps on the k = 0 chain (every
-diagonal state, and the ladder) are integers: on a row at least 4 below
-the top, polynomials in its level with one fixed table of coefficients,
-and on the top 4 rows, which reach the wall, each band's own, built on
-its top 8 levels (:func:`_word_taps`).  Under CONSTANT and SCALED every
+with views of the state and one tap sum (:func:`_polynomial_step`).  A
+run keeps one state and steps it in place: the product reads a block of
+rows before the sum overwrites it, and each block, its rows independent
+chains, runs through a whole interval on its own.  In D and U, P is a
+weighted sum of the 31 ordered words of at most 4 factors
+(:func:`_products`), whose taps on the k = 0 chain (every diagonal
+state, and the ladder) are integers: on a row at least 4 below the top,
+polynomials in its level with one fixed table of coefficients, and on
+the top 4 rows, which reach the wall, each band's own, built on its top
+8 levels (:func:`_word_taps`).  Under CONSTANT and SCALED every
 A_s is A times the rate scale, and a word of length j with u factors U
 weighs g_down^(j - u) g_up^u.  Under FEEDBACK on one
 row a factor weighs its stage's U-rate e_s, plus g for a D, so each
@@ -64,32 +66,32 @@ one row under FEEDBACK is stepped a stage at a time instead, each
 stage's rates read off its own input (:func:`_staged_step`).
 
 A tap reused step after step must not hold a rounded 1 + delta, whose
-error adds up, so a FEEDBACK step is x + (P - I) x.  A CONSTANT step on
-all dim levels is fixed for the rest of the run; if a power fits in 8
-``_BUILD_ROWS`` (rows dim^2) and four squarings cost less than the steps
-(rows dim^3 <= 4 ``_BUILD_ROWS`` n_steps), it is applied as dense powers
-E_m = P^m - I, E_2m = 2 E_m + E_m^2 squared when first read
-(:func:`_dense_steps`): a chain state takes x + E_16 x every 16 steps
-from the step this starts at, and a sample r steps past that is a copy
-given x + E_m x for the set bits m of r, lowest first, so it depends on
-its step alone.  Other CONSTANT runs keep P, whose diagonal tap holds
-fl(1 + delta).
+error adds up, so a FEEDBACK step is x + (P - I) x, its tap sum taken in
+a scratch state.  A CONSTANT step on all dim levels is fixed for the
+rest of the run; if a power fits in 8 ``_BUILD_ROWS`` (rows dim^2) and
+four squarings cost less than the steps (rows dim^3 <= 4 ``_BUILD_ROWS``
+n_steps), it is applied as dense powers E_m = P^m - I,
+E_2m = 2 E_m + E_m^2 squared when first read (:func:`_dense_steps`): a
+chain state takes x + E_16 x every 16 steps from the step this starts
+at, and a sample r steps past that is a copy given x + E_m x for the set
+bits m of r, lowest first, so it depends on its step alone.  Other
+CONSTANT runs keep P, whose diagonal tap holds fl(1 + delta).
 
 Every propagator has one call shape, ``advance(n0, n1)``, which runs
 steps n0 + 1 .. n1, and a run calls it once per interval between its
 events: the recorded steps, every 100th step and the last, where it
 samples and checkpoints.  A one-row state is stepped, and its operator
 built, only on a window of its first hi levels, past which it stays
-exactly 0 (:func:`_windowed`).  RK4 moves an entry at most 4 levels a
-step, so the window holds every entry above ``_NEGLIGIBLE`` for
-``_WINDOW_EVERY`` steps if none lies in its last 4 ``_WINDOW_EVERY``
-levels.  That is checked at every multiple of ``_WINDOW_EVERY`` steps,
-whatever the intervals; where it fails, the window is set
-2 ``_WINDOW_EVERY`` levels wider than that needs, or to dim within 4
-levels of the wall, and the steps are rebuilt.  The band of each recent
-(dim, offsets), with its top rows' words, is kept, read-only.  The
-README gives the step's measured stability limit; a step beyond it blows
-up, and the next checkpoint raises IntegrationError, naming the blow-up.
+exactly 0.  RK4 moves an entry at most 4 levels a step, so the window
+holds every entry above ``_NEGLIGIBLE`` for ``_WINDOW_EVERY`` steps if
+none lies in its last 4 ``_WINDOW_EVERY`` levels.  That is checked at
+every multiple of ``_WINDOW_EVERY`` steps, whatever the intervals; where
+it fails, the window is set 2 ``_WINDOW_EVERY`` levels wider than that
+needs, or to dim within 4 levels of the wall, and the steps are rebuilt.
+The band of each recent (dim, offsets), with its top rows' words, is
+kept, read-only.  The README gives the step's measured stability limit;
+a step beyond it blows up, and the next checkpoint raises
+IntegrationError, naming the blow-up.
 """
 
 from __future__ import annotations
@@ -100,7 +102,6 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -255,12 +256,21 @@ def _thermal_dim(n_bar: float, eps: float) -> int:
     return 1 if x == 0 else math.floor(math.log(eps) / math.log(x)) + 1
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int (a numpy integer passes), else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def thermal_state(n_bar: float, dim: int) -> np.ndarray:
     """Thermal (geometric) density matrix renormalized over the truncation.
 
     Warns if the truncation captures less than 99.9% of the untruncated
     mass, i.e. (n_bar/(1+n_bar))**dim > 1e-3.
     """
+    dim = _integer("dim", dim)
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     if not (math.isfinite(n_bar) and n_bar >= 0):
@@ -280,6 +290,7 @@ def thermal_state(n_bar: float, dim: int) -> np.ndarray:
 
 def number_state(level: int, dim: int) -> np.ndarray:
     """Projector onto Fock level ``level`` (sharp occupation)."""
+    level, dim = _integer("level", level), _integer("dim", dim)
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     if not (0 <= level < dim):
@@ -515,16 +526,17 @@ def _chain_powers(band: _Band, hi: int, g_down: float, g_up: float) -> np.ndarra
 
 
 def _shifted(x0: np.ndarray, width: int):
-    """Two states of x0's shape, the first set to x0, each in a flat buffer
-    between width // 2 zeros at either end, and for each its read-only
-    views x[j, i + d - width // 2] of shape (width, rows, dim)."""
+    """Two states of x0's shape, the first set to x0 and the second a
+    scratch state, each in a flat buffer between width // 2 zeros at either
+    end, and the first's read-only views x[j, i + d - width // 2] of shape
+    (width, rows, dim)."""
     nb, dim = x0.shape
     h, step = width // 2, x0.itemsize
     bufs = np.zeros((2, nb * dim + 2 * h), dtype=x0.dtype)
     states = bufs[:, h:h + nb * dim].reshape(2, nb, dim)
     states[0] = x0
-    return states, [np.ndarray((width, nb, dim), x0.dtype, memoryview(buf).toreadonly(), 0,
-                               (step, dim * step, step)) for buf in bufs]
+    return states, np.ndarray((width, nb, dim), x0.dtype, memoryview(bufs[0]).toreadonly(), 0,
+                              (step, dim * step, step))
 
 
 def lindblad_rhs(rho: np.ndarray, t: float, model: RateModel) -> np.ndarray:
@@ -569,32 +581,6 @@ def _window_end(x: np.ndarray) -> int:
     live = np.flatnonzero(np.abs(x[0]) > _NEGLIGIBLE)
     hi = (live[-1] + 1 if live.size else 0) + 6 * _WINDOW_EVERY
     return dim if hi > dim - 4 else int(hi)
-
-
-def _windowed(make, x0: np.ndarray):
-    """``advance(n0, n1)`` for the state x0, a propagator's own buffer,
-    whose steps ``make(hi)`` builds on its first hi levels as a
-    ``run(n0, n1)`` that runs steps n0 + 1 .. n1 and returns the state,
-    its first call at the step ``make`` is called at (module docstring)."""
-    dim, every = x0.shape[1], _WINDOW_EVERY
-    hi = _window_end(x0)
-    run = make(hi)
-    if hi == dim:
-        return run
-    x0[:, hi:] = 0.0
-
-    def advance(n0, n1):
-        nonlocal hi, run
-        while n0 < n1:
-            stop = n1 if hi == dim else min(n1, n0 - n0 % every + every)
-            x = run(n0, stop)
-            n0 = stop
-            if hi < dim and not n0 % every and np.abs(x[0, hi - 4 * every:hi]).max() > _NEGLIGIBLE:
-                hi = _window_end(x)
-                run = make(hi)
-        return x
-
-    return advance
 
 
 def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
@@ -662,12 +648,12 @@ def _run_tables():
 _RUN_FACTOR, _RUN_WEIGHT, _RUN_WORD = _run_tables()
 
 
-def _feedback_build(band: _Band, model: RateModel, dt: float, n_steps: int, rows, ops, K):
+def _feedback_build(band: _Band, model: RateModel, dt: float, n_steps: int, row, ops, K):
     """``build(lo)``, which writes to ops, shape (span, 9, hi), the nine
     taps of P - I for each FEEDBACK step lo + 1 .. lo + span (at most
     n_steps) of a one-row state on its first hi levels, P the step's
-    operator, from the state at step lo, rows[lo % 2], and the run's K
-    (:data:`_RUN_FACTOR`; module docstring)."""
+    operator, from ``row``, which holds the state at step lo, and the
+    run's K (:data:`_RUN_FACTOR`; module docstring)."""
     dim, span, hi = band.dim, len(ops), ops.shape[-1]
     wall = hi == dim    # else every entry on rows n - 2 .. n is 0
     T, basis = _word_taps(band, hi)
@@ -686,7 +672,7 @@ def _feedback_build(band: _Band, model: RateModel, dt: float, n_steps: int, rows
 
     def build(lo):
         rates, dot = model.rates, np.dot
-        n_bar, trace, z0, z1, z2 = dot(moments, rows[lo % 2]).tolist()
+        n_bar, trace, z0, z1, z2 = dot(moments, row).tolist()
         monomials = []
         for n in range(lo, min(lo + span, n_steps)):
             t, n_s, n_next, y1, y2, e = n * dt, n_bar, n_bar, z1, z2, []
@@ -719,14 +705,14 @@ def _feedback_build(band: _Band, model: RateModel, dt: float, n_steps: int, rows
 def _dense_steps(taps: np.ndarray, states: np.ndarray):
     """``run(n0, n1)``, returning the state at step n1, for the fixed step
     x + E x, E = P - I with the nine taps ``taps`` (9, rows, dim) on all
-    levels, from states[n0 % 2] at the n0 of its first call (module docstring)."""
+    levels, from states[0] at the n0 of its first call: it steps its chain
+    in states[0] and takes each sample in states[1] (module docstring)."""
     nb, dim = taps.shape[1:]
     buf = np.zeros((nb, dim, dim + 8))
     # tap d of row i lands in column i + d of the buffer, i + d - 4 of E
     as_strided(buf, taps.shape, (8, 8 * dim * (dim + 8), 8 * (dim + 9)))[...] = taps
     powers, at = [buf[..., 4:-4]], None
-    pair = np.empty((2, nb, dim), states.dtype)   # the chain state and a sample
-    chain, sample = pair.view(float).reshape(2, nb, dim, -1)
+    chain, sample = (x.view(float).reshape(nb, dim, -1) for x in states)
 
     def apply(j, v):
         while len(powers) <= j:
@@ -736,15 +722,15 @@ def _dense_steps(taps: np.ndarray, states: np.ndarray):
     def run(n0, n1):
         nonlocal at
         if at is None:
-            at, pair[0] = n0, states[n0 % 2]
+            at = n0
         for _ in range((n1 - at) // 16):
             apply(4, chain)
         at = n1 - (n1 - at) % 16
-        pair[1] = pair[0]
+        states[1] = states[0]
         for j in range(4):
             if (n1 - at) >> j & 1:
                 apply(j, sample)
-        return pair[1]
+        return states[1]
 
     return run
 
@@ -770,7 +756,7 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
         f = np.array([dt, dt * model.gamma, 0.0, 1.0])[_RUN_FACTOR]
         K = np.dot(f[0] * f[1] * f[2] * f[3] * _RUN_WEIGHT, _RUN_WORD)
     states, views = _shifted(x0, 9)
-    ones = np.ones(9)
+    x, ones = states[0], np.ones(9)
 
     def make(hi):
         size = max(1, _BUILD_ROWS // hi)
@@ -779,8 +765,7 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
         if feedback:
             span = _WINDOW_EVERY if hi < dim else 1
             ops = np.empty((span, 9, 1, hi))
-            build = _feedback_build(band, model, dt, n_steps, states[:, 0],
-                                    ops.reshape(span, 9, hi), K)
+            build = _feedback_build(band, model, dt, n_steps, x[0], ops.reshape(span, 9, hi), K)
         elif (law is RateLaw.CONSTANT and hi == dim and nb * dim * dim <= 8 * _BUILD_ROWS
               and nb * dim ** 3 <= 4 * _BUILD_ROWS * n_steps):
             P = (_chain_powers(band, dim, g_down, g_up) if nb == 1
@@ -806,22 +791,16 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
                     np.dot(c, B, out=ops_flat[:len(c)])
 
         prod = np.empty((9, min(size, nb), hi), dtype=x0.dtype)
-        # the input views, product, and the product, output and input as
-        # floats (for the tap sum, a product with ones, to which FEEDBACK adds
-        # the input) of each block of rows, for a step that reads the state in
-        # buffer 0 and for one that reads buffer 1; a window short of dim has
-        # one row, so its output is contiguous
-        rows = [[(views[s][:, r, :hi], prod[:, :r.stop - r.start],
-                  prod[:, :r.stop - r.start].reshape(9, -1).view(float),
-                  states[1 - s][r, :hi].reshape(-1).view(float),
-                  states[s][r, :hi].reshape(-1).view(float)) for r in blocks]
-                for s in (0, 1)]
-        nr = len(blocks)
-        parity = (rows[0] + rows[1]) * (span // 2 + 1)
-        # step lo + k + 1 of a block of steps applies the k-th run of nr views
-        # in op_seq, one per block of rows
-        op_seq = list(chain.from_iterable(zip(*[ops[:, :, r] for r in blocks])))
-        op_seq *= span if build is None else 1
+        # each block of rows' operators, one per step of a block of steps, its
+        # input views and product, and as floats the product, the tap sum's
+        # output and the state: the tap sum overwrites the state, whose block
+        # the product has read, or under FEEDBACK goes to the scratch state and
+        # is added to it; a window short of dim has one row, so its output is
+        # contiguous
+        rows = [(list(ops[:, :, r]) * (span if build is None else 1), views[:, r, :hi],
+                 prod[:, :r.stop - r.start], prod[:, :r.stop - r.start].reshape(9, -1).view(float),
+                 (states[1] if feedback else x)[r, :hi].reshape(-1).view(float),
+                 x[r, :hi].reshape(-1).view(float)) for r in blocks]
         built = None
 
         def run(n0, n1):
@@ -831,19 +810,36 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
                 if build is not None and lo != built:
                     build(lo)
                     built = lo
-                k = max(n0 - lo, 0)
-                # step n + 1 reads the state in buffer n % 2 and writes the other one
-                for op_r, (x_r, prod_r, terms, out, x) in zip(op_seq[k * nr:(n1 - lo) * nr],
-                                                              parity[(lo + k) % 2 * nr:]):
-                    multiply(op_r, x_r, prod_r)
-                    dot(ones, terms, out)
-                    if feedback:
-                        add(out, x, out)
-            return states[n1 % 2]
+                for seq, x_r, prod_r, terms, out, x_flat in rows:
+                    for op in seq[max(n0 - lo, 0):n1 - lo]:
+                        multiply(op, x_r, prod_r)
+                        dot(ones, terms, out)
+                        if feedback:
+                            add(x_flat, out, x_flat)
+            return x
 
         return run
 
-    return _windowed(make, states[0])
+    # a one-row state is stepped on its window of live levels (module docstring)
+    every = _WINDOW_EVERY
+    hi = _window_end(x)
+    run = make(hi)
+    if hi == dim:
+        return run
+    x[:, hi:] = 0.0
+
+    def advance(n0, n1):
+        nonlocal hi, run
+        while n0 < n1:
+            stop = n1 if hi == dim else min(n1, n0 - n0 % every + every)
+            state = run(n0, stop)
+            n0 = stop
+            if hi < dim and not n0 % every and np.abs(x[0, hi - 4 * every:hi]).max() > _NEGLIGIBLE:
+                hi = _window_end(x)
+                run = make(hi)
+        return state
+
+    return advance
 
 
 def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig,

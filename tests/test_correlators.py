@@ -117,6 +117,20 @@ def test_grid_validation():
         ModeGrid.flat_band(omega0=5.0, half_width=10.0)
 
 
+def test_grid_given_lists_stores_float_arrays():
+    # a grid built from lists holds arrays, so every correlator reads it as
+    # it reads the same grid built from arrays
+    fields = [40.0, 50.0, 60.0], [0.2] * 3, [5.0, 10.0, 5.0]
+    grid = ModeGrid(*fields)
+    for name in ("frequencies", "strength", "weights"):
+        assert getattr(grid, name).dtype == np.float64
+    times = [0.5, 1.0, 1.5, 2.0]
+    got = evolved_spectral_density(grid, 50.0, 3.0, 100.0, times)
+    expect = evolved_spectral_density(ModeGrid(*map(np.array, fields)), 50.0, 3.0, 100.0, times)
+    assert np.array_equal(got.values, expect.values)
+    assert decay_constant(grid, 50.0) == decay_constant(ModeGrid(*map(np.array, fields)), 50.0)
+
+
 def test_decay_constant_flat_band():
     grid = ModeGrid.flat_band(omega0=50.0, half_width=20.0)
     assert decay_constant(grid, 50.0) == pytest.approx(1.0, rel=1e-12)

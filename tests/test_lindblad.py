@@ -88,6 +88,19 @@ def test_number_state():
         number_state(12, 12)
 
 
+@pytest.mark.parametrize("make, bad, good", [
+    (number_state, (2.5, 10), (np.int64(2), 10)),
+    (number_state, (3, 10.0), (3, np.int64(10))),
+    (thermal_state, (1.0, 2.5), (1.0, np.int64(30))),
+], ids=["number-level", "number-dim", "thermal-dim"])
+def test_state_constructors_reject_non_integer_sizes(make, bad, good):
+    # a level or dim that is not an integer is an error, not an IndexError, a
+    # TypeError or a matrix of another size; a numpy integer passes
+    with pytest.raises(ValueError, match="must be an integer"):
+        make(*bad)
+    assert make(*good).shape == (good[1],) * 2
+
+
 def test_mean_occupation_mixture():
     rho = 0.5 * number_state(0, 10) + 0.5 * number_state(2, 10)
     assert mean_occupation(rho) == pytest.approx(1.0)
@@ -1090,7 +1103,8 @@ def test_sampling_does_not_perturb_stepping(model, advance_calls, windows):
     # step's rate scale SCALED reads at an interval's edges, nor where the
     # window of live levels of the Fock start grows
     steps, set_windows = 257, []
-    for rho0, dt in ((_pure_state({2: 1.0, 5: 1.0j}, 24), 1e-3), (number_state(10, 300), 3e-4)):
+    for rho0, dt in ((_pure_state({2: 1.0, 5: 1.0j}, 24), 1e-3), (number_state(10, 300), 3e-4),
+                     (_fully_coherent(70, 5), 1e-3)):
         runs, ends = {}, {}
         for every in (1, 7, 30):
             advance_calls.clear()
@@ -1108,11 +1122,15 @@ def test_sampling_does_not_perturb_stepping(model, advance_calls, windows):
             assert np.array_equal(traj.min_eigenvalues, full.min_eigenvalues)
             assert np.array_equal(traj.final_state, full.final_state)
             assert ends[every] == ends[1]
+            assert np.array_equal(traj.check_times,
+                                  np.append(np.arange(0, steps, 100), steps) * dt)
         set_windows.append(ends[1])
-    # the coherent start steps on all its levels (under FEEDBACK the staged
-    # step, which sets no window); the Fock start's window grew
-    coherent, fock = set_windows
+    # the coherent starts step on all their levels (under FEEDBACK the staged
+    # step, which sets no window), the 70 rows of the second in 3 blocks of
+    # at most 29; the Fock start's window grew
+    coherent, fock, rows = set_windows
     assert coherent == ([] if model is FEEDBACK else [24])
+    assert rows == ([] if model is FEEDBACK else [70])
     assert len(fock) > 1 and fock[-1] < 300
 
 
