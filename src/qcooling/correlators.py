@@ -10,6 +10,20 @@ its correlation functions reduce to products of two-point functions
   linearly in time with slope 2 pi^2 D^2(w0) |k(w0)|^4 (n_sys - n_res),
   i.e. gamma^2/2 per unit occupation difference.
 
+The brute-force four-point trace
+--------------------------------
+The truncated a has the single diagonal a[j, j+1] = sqrt(j+1), and a+
+the single diagonal a+[j, j-1] = sqrt(j).  So row i of a product of them
+has one entry, and each factor moves its column by a fixed step (+1 for
+a, -1 for a+) and scales it by sqrt(max(old column, new column)).  Every
+row follows the same path of column offsets o_0 = 0, o_1, ..., o_4, so
+the trace is sum_i p_i sqrt(prod_k (i + m_k)), with p_i the thermal
+populations and m_k = max(o_{k-1}, o_k), taken over the contiguous rows
+whose path stays inside [0, dim).  A path that does not return to 0 (an
+unbalanced ordering) leaves no diagonal entry, and the trace is exactly
+0.  This is the dense product's trace, not Wick's theorem: it sums no
+pairings and keeps the truncation.
+
 Evaluation of the evolved spectral density
 ------------------------------------------
 The feedback term is a double sum over mode pairs of triple nested time
@@ -22,7 +36,18 @@ In that idealization the bracket splits as
 products of single-axis kernel sums; the remaining free time integral
 supplies the linear growth.  That factorized form is what
 :func:`evolved_spectral_density` evaluates, with each kernel in closed
-form, K(d, t) = (e^{i d t} - 1)/(i d) (Taylor limit t at d = 0).
+form from the half angle h = d t/2,
+
+    K(d, t) = (e^{i d t} - 1)/(i d) = (2 sin h cos h + 2i sin^2 h)/d,
+
+and K(0, t) = t.  Neither part cancels at small d t, so no Taylor branch
+is needed.  The sine and cosine come from one tangent, q = tan(h/2):
+sin h = 2q/(1 + q^2) and cos h = 2/(1 + q^2) - 1, whose absolute error
+is a few units in the last place, as that of sin and cos at a rounded h
+is.  Both single-axis sums, the plain one and the one weighted by the
+occupation excess, come from one real product: the (2 times, modes)
+table of sin h cos h and sin^2 h by the (modes, 2) table of the two
+weights times 2/d.
 
 The fully time-ordered nested integral, by contrast, pins both
 resonances to a corner of the integration simplex and stays bounded for
@@ -41,6 +66,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -84,14 +110,8 @@ def wick_four_point(ops: tuple[LadderOp, LadderOp, LadderOp, LadderOp],
 def brute_force_four_point(ops: tuple[LadderOp, LadderOp, LadderOp, LadderOp],
                            n_bar: float, dim: int) -> complex:
     """Independent oracle: Tr[O_a O_b O_c O_d rho_thermal] in a truncated
-    Fock basis, in O(dim).
-
-    The truncated a (a+) has the single diagonal a[j, j+1] = sqrt(j+1)
-    (a+[j, j-1] = sqrt(j)), so row i of the product has one entry, in
-    column col[i]: each factor moves col by +-1 and scales the entry by
-    sqrt(max(old, new)), and a column leaving [0, dim) zeroes it.  This is
-    the dense product's trace, not Wick's theorem: it sums no pairings and
-    keeps the truncation.
+    Fock basis, in O(dim), read along the ordering's path of columns (see
+    the module docstring).
 
     Requires the thermal tail beyond the truncation to be < 1e-10 in mass.
     """
@@ -103,18 +123,17 @@ def brute_force_four_point(ops: tuple[LadderOp, LadderOp, LadderOp, LadderOp],
         raise ValueError(
             f"dim={dim} keeps tail mass {x**dim:.2e} > 1e-10 for n_bar={n_bar}; "
             "increase dim")
-    rows = np.arange(dim)
-    p = x ** rows
-    p /= p.sum()
-    col, amp = rows, np.ones(dim)
-    for op in ops:
-        new = col + (1 if op is LadderOp.LOWER else -1)
-        # new >= 0 where inside, so the square root never sees a negative
-        inside = (new >= 0) & (new < dim)
-        amp = amp * np.sqrt(np.maximum(col, new) * inside)
-        col = new
-    diag = col == rows
-    return complex(p[diag] @ amp[diag])
+    path = [0, *accumulate(1 if op is LadderOp.LOWER else -1 for op in ops)]
+    if path[-1] != 0:
+        return 0j   # an unbalanced product has no diagonal entry
+    rows = np.arange(dim, dtype=float)
+    weights = x ** rows   # p_i times sum_j x^j
+    lo, hi = -min(path), dim - max(path)   # the rows whose path stays inside
+    i = rows[lo:hi]
+    amp = i + max(path[0], path[1])
+    for k in range(2, len(path)):
+        amp *= i + max(path[k - 1], path[k])
+    return complex(weights[lo:hi] @ np.sqrt(amp) / weights.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +145,8 @@ class ModeGrid:
     """Discretized reservoir band: frequencies, the strength profile
     D(w) |k(w)|^2 (density of states times squared coupling), and
     quadrature weights turning mode sums into integrals, all finite and
-    stored as float arrays, whatever sequences they are given as."""
+    stored as read-only float copies of whatever sequences they are given
+    as, so the grid stays as it was validated."""
 
     frequencies: np.ndarray
     strength: np.ndarray
@@ -134,7 +154,9 @@ class ModeGrid:
 
     def __post_init__(self):
         for name in ("frequencies", "strength", "weights"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         f = self.frequencies
         if f.ndim != 1 or f.size < 2:
             raise ValueError("frequencies must be a 1-D array of >= 2 modes")
@@ -190,14 +212,23 @@ class SpectralDensityResult:
     fit_residual: float
 
 
-def _resonance_kernel(delta: np.ndarray, t) -> np.ndarray:
-    """Closed form of int_0^t exp(i delta tau) dtau, broadcast over delta
-    and t, with its Taylor limit where |delta t| < 1e-6."""
-    z = delta * t
-    small = np.abs(z) < 1e-6
-    d = np.where(small, 1.0, delta)
-    out = (np.exp(1j * d * t) - 1.0) / (1j * d)
-    return np.where(small, t * (1.0 + 0.5j * z), out)
+def _kernel_sums(delta: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_m K(delta_m, t) w[m, j] for each time and each column of w, as a
+    complex (times, columns) array, with K(0, t) = t."""
+    zero = np.abs(delta) < np.finfo(float).tiny   # where 1/delta would overflow
+    inv = np.divide(2.0, delta, out=np.zeros_like(delta), where=~zero)
+    q = np.tan(np.multiply.outer(0.25 * t, delta))   # tan(h/2)
+    r = q * q
+    r += 1.0
+    np.divide(2.0, r, out=r)              # 2/(1 + q^2)
+    n = t.size
+    trig = np.empty((2 * n, delta.size))
+    s = np.multiply(q, r, out=trig[n:])   # sin h
+    r -= 1.0                              # cos h
+    np.multiply(s, r, out=trig[:n])
+    s *= s
+    sums = trig @ (inv[:, None] * w)
+    return sums[:n] + np.outer(t, w[zero].sum(axis=0)) + 1j * sums[n:]
 
 
 def bath_occupations(grid: ModeGrid, temperature: float) -> np.ndarray:
@@ -233,8 +264,8 @@ def evolved_spectral_density(grid: ModeGrid, omega0: float, n_sys: float,
 
     n_res = bath_occupations(grid, temperature)
     w = np.multiply(grid.weights, grid.strength)
-    kernel = _resonance_kernel(f - omega0, t_values[:, None])
-    plain, excess = kernel @ w, kernel @ (w * (n_sys - n_res))
+    plain, excess = _kernel_sums(f - omega0, t_values,
+                                 np.stack([w, w * (n_sys - n_res)], axis=1)).T
     # the other axis's sums are the conjugates, so the bracket is 2 Re(...)
     values = (2.0 * t_values * (excess.conj() * plain).real).astype(complex)
 

@@ -9,7 +9,7 @@ from qcooling import (LadderOp, ModeGrid, PhysicalScales, bath_occupations,
                       brute_force_four_point, decay_constant,
                       evolved_spectral_density, occupation_from_temperature,
                       thermal_two_point, wick_four_point)
-from qcooling.correlators import _resonance_kernel
+from qcooling.correlators import _kernel_sums
 
 L, R = LadderOp.LOWER, LadderOp.RAISE
 
@@ -131,6 +131,20 @@ def test_grid_given_lists_stores_float_arrays():
     assert decay_constant(grid, 50.0) == decay_constant(ModeGrid(*map(np.array, fields)), 50.0)
 
 
+def test_grid_keeps_its_own_read_only_copies():
+    # changing the arrays a grid was built from leaves the validated grid as it was
+    f, s = np.linspace(40.0, 60.0, 3), np.full(3, 0.2)
+    grid = ModeGrid(f, s, np.ones(3))
+    s[1] = -5.0
+    f[0] = 70.0
+    assert np.array_equal(grid.frequencies, [40.0, 50.0, 60.0])
+    assert np.array_equal(grid.strength, [0.2, 0.2, 0.2])
+    assert decay_constant(grid, 50.0) == pytest.approx(2 * math.pi * 0.2, rel=1e-15)
+    for name in ("frequencies", "strength", "weights"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grid, name)[0] = 1.0
+
+
 def test_decay_constant_flat_band():
     grid = ModeGrid.flat_band(omega0=50.0, half_width=20.0)
     assert decay_constant(grid, 50.0) == pytest.approx(1.0, rel=1e-12)
@@ -191,14 +205,44 @@ def test_imaginary_part_reported():
     assert res.fit_residual < 0.05 * abs(res.slope) * (T_VALUES[-1] - T_VALUES[0])
 
 
-def test_one_kernel_serves_both_axes():
-    # K(-d, t) = conj K(d, t), so the factorized sum has no imaginary part
+def _complex_kernel(delta, t):
+    # (e^{i d t} - 1)/(i d) in complex arithmetic: its power series
+    # t sum_n (i d t)^n/(n+1)! below |d t| = 1, where e^{i d t} - 1 cancels,
+    # and the closed form above
+    z = np.multiply.outer(t, delta)
+    term = np.multiply.outer(t, np.ones_like(delta)).astype(complex)
+    series = term.copy()
+    for n in range(1, 30):
+        term *= 1j * z / (n + 1)
+        series += term
+    big = np.abs(z) >= 1.0
+    d = np.where(delta == 0, 1.0, delta)
+    return np.where(big, (np.exp(1j * z) - 1.0) / (1j * d), series)
+
+
+def test_kernel_sums_match_complex_exponential():
+    rng = np.random.default_rng(7)
+    t = np.array([0.5, 1.0, 2.0, 3.0])
+    # a random non-uniform grid of detunings of both signs, with d = 0 and
+    # |d t| spread from 1e-9 to 60
+    size = np.exp(rng.uniform(np.log(1e-9 / t[0]), np.log(60.0 / t[-1]), 400))
+    delta = np.sort(np.concatenate([[0.0, 1e-9 / t[0], 60.0 / t[-1]],
+                                    size * rng.choice([-1.0, 1.0], size.size)]))
+    w = rng.uniform(0.0, 1.0, (delta.size, 2)) * rng.choice([-1.0, 1.0], (delta.size, 2))
+    expect = _complex_kernel(delta, t) @ w
+    got = _kernel_sums(delta, t, w)
+    assert got.shape == (t.size, 2)
+    assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect))
+    # K(0, t) = t exactly
+    one = np.zeros((delta.size, 1))
+    one[delta == 0] = 1.0
+    assert np.array_equal(_kernel_sums(delta, t, one)[:, 0], t.astype(complex))
+
+
+def test_mirrored_band_gives_real_values():
+    # K(-d, t) = conj K(d, t), so on a band mirrored about omega0 the
+    # factorized sum has no imaginary part
     grid = ModeGrid.flat_band(OMEGA0, HALF_WIDTH)
-    delta = grid.frequencies - OMEGA0
-    t = T_VALUES[:, None]
-    np.testing.assert_allclose(_resonance_kernel(-delta, t),
-                               _resonance_kernel(delta, t).conj(),
-                               rtol=1e-15, atol=0)
     res = evolved_spectral_density(grid, OMEGA0, N_RES + 5.0, T_RES, T_VALUES)
     assert np.all(res.values.imag == 0.0)
 

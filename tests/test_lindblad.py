@@ -696,7 +696,8 @@ def test_feedback_step_at_the_wall_matches_rk4_on_the_banded_operator(dim, seed,
     model = RateModel(law=RateLaw.FEEDBACK, gamma=gamma, n_res=n_res)
     # a step of about a tenth of the fastest rate's reciprocal
     dt = 0.1 / (dim * (1.0 + np.abs(model.rates(t0, band.levels @ x)).sum()))
-    # the propagator's two buffers alternate from step 0, so it starts on an even step
+    # the step index nearest t0, kept even as the test has always taken it; the
+    # propagator steps one state buffer in place, so any start step would do
     n0 = 2 * round(t0 / dt / 2)
 
     def slope(x, t):
