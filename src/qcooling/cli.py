@@ -21,7 +21,7 @@ from .lindblad import (IntegrationError, IntegratorConfig, RateLaw, RateModel,
                        _thermal_dim, default_dim, integrate, number_state,
                        thermal_state)
 
-ANALYTIC_LAWS = ("newton", "markov", "modified")
+ANALYTIC_LAWS = tuple(kind.value for kind in LawKind)
 INTEGRATOR_LAWS = ("lindblad", "ladder")
 
 HALF_TIME_FORMULAS = {

@@ -75,11 +75,7 @@ def half_thermalization_time(kind: LawKind, gamma: float) -> float:
     Independent of x0 and x_res: ln(2)/gamma for the exponential laws,
     (sqrt(1 + 2 ln 2) - 1)/gamma for the modified law.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if kind is LawKind.MODIFIED:
-        return (math.sqrt(1.0 + 2.0 * math.log(2.0)) - 1.0) / gamma
-    return math.log(2.0) / gamma
+    return time_to_value(kind, CoolingParams(2.0, 0.0, gamma), 1.0)
 
 
 def time_to_value(kind: LawKind, params: CoolingParams, x_target: float) -> float:

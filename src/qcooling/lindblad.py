@@ -89,9 +89,9 @@ every multiple of ``_WINDOW_EVERY`` steps, whatever the intervals; where
 it fails, the window is set 2 ``_WINDOW_EVERY`` levels wider than that
 needs, or to dim within 4 levels of the wall, and the steps are rebuilt.
 The band of each recent (dim, offsets), with its top rows' words, is
-kept, read-only.  The README gives the step's measured stability limit;
-a step beyond it blows up, and the next checkpoint raises
-IntegrationError, naming the blow-up.
+kept, read-only, so runs on the same diagonals share one.  The README
+gives the step's measured stability limit; a step beyond it blows up,
+and the next checkpoint raises IntegrationError, naming the blow-up.
 """
 
 from __future__ import annotations
@@ -341,11 +341,6 @@ def check_density_matrix(rho: np.ndarray):
     Returns the offsets k >= 0 of rho's nonzero diagonals, ascending (0
     among them), and its minimum eigenvalue, computed block by block
     (:func:`_min_eigenvalue`; a diagonal rho needs no ``eigvalsh``).
-    Finiteness and Hermiticity are checked over the nonzero entries only:
-    a zero entry with a zero mirror adds nothing.  A diagonal rho, which
-    has no entry off its diagonal, is read off its diagonal alone, not by
-    an index scan of all dim^2 entries; a population's asymmetry is twice
-    its imaginary part.
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
@@ -400,10 +395,9 @@ class _Band:
     x[j, i + b - a]; they vanish on the padding and at both row ends, so
     the padding stays zero.  ``top`` holds row 0's planes on its top 8
     levels, zero below level 0: no path of at most 4 steps from the top 4
-    rows leaves them.  Row 0 is always k = 0, the population ladder; when it is the only row
-    the state is real and diagonal.  ``g`` is the gcd of the offsets.
-    Every array is read-only, so that one band can serve every run on its
-    (dim, offsets) (:func:`_band`).
+    rows leaves them.  Row 0 is always k = 0, the population ladder; when
+    it is the only row the state is real and diagonal.  ``g`` is the gcd
+    of the offsets.
     """
 
     def __init__(self, dim: int, offsets):
@@ -462,8 +456,6 @@ class _Band:
         return rho
 
 
-# the band of each recent (dim, offsets), the offsets a tuple; a run reads its
-# band and writes nothing to it, so runs on the same diagonals share one
 _band = lru_cache(maxsize=16)(_Band)
 
 
@@ -506,18 +498,15 @@ _WORDS_FREE.flags.writeable = False
 
 
 def _word_taps(band: _Band, hi: int):
-    """The 31 words on the first ``hi`` levels of the k = 0 chain of
-    ``band`` (hi <= dim - 4 or hi = dim) as T (31, 9, q) times a basis
-    (q, hi): the powers 0 .. 4 of the levels, or on all dim levels
-    :attr:`_Band.wall`."""
+    """(T, basis), T @ basis the 31 words on the first ``hi`` levels of the
+    k = 0 chain of ``band`` (hi <= dim - 4 or hi = dim)."""
     return band.wall if hi == band.dim else (_WORDS_FREE, band.powers[:, :hi])
 
 
 def _chain_powers(band: _Band, hi: int, g_down: float, g_up: float) -> np.ndarray:
     """(g_down D + g_up U)^j on the first ``hi`` levels of the k = 0 chain
     of ``band`` (hi <= dim - 4 or hi = dim) for j = 0 .. 4, as nine taps
-    each, shape (5, 9, hi): the words of length j of :func:`_word_taps`
-    weighed by the rates (module docstring)."""
+    each, shape (5, 9, hi)."""
     T, basis = _word_taps(band, hi)
     weights = np.equal.outer(range(5), _WORD_LEN) * (g_down ** (_WORD_LEN - _WORD_U)
                                                      * g_up ** _WORD_U)
@@ -576,7 +565,7 @@ def _window_end(x: np.ndarray) -> int:
     """End hi of the window of levels [0, hi) to step x on (module
     docstring); all dim levels if x has more than one row."""
     nb, dim = x.shape
-    if nb > 1 or dim < 6 * _WINDOW_EVERY + 4:
+    if nb > 1:
         return dim
     live = np.flatnonzero(np.abs(x[0]) > _NEGLIGIBLE)
     hi = (live[-1] + 1 if live.size else 0) + 6 * _WINDOW_EVERY
@@ -584,9 +573,9 @@ def _window_end(x: np.ndarray) -> int:
 
 
 def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
-    """RK4 steps from x0 on all dim levels, each stage's rates read off its
-    own input and its slope one product of the four planes of ``band.taps``
-    with views of it; ``advance(n0, n1)`` runs steps n0 + 1 .. n1."""
+    """``advance`` for RK4 steps from x0 on all dim levels, each stage's
+    slope one product of the four planes of ``band.taps`` with views of
+    its input."""
     nb, dim = x0.shape
     weights = np.array([1.0, 2.0, 1.0, 3.0]) / 3.0
     stage_rates = np.empty(4)   # w_s (g_down, g_down, g_up, g_up), filled in place
@@ -737,9 +726,9 @@ def _dense_steps(taps: np.ndarray, states: np.ndarray):
 
 def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
                      dt: float, n_steps: int):
-    """RK4 steps from x0 for a linear law, or FEEDBACK on one row (module
-    docstring); ``advance(n0, n1)`` runs steps n0 + 1 .. n1 and returns the
-    state, whose every bit depends on n1 alone, not on the intervals."""
+    """``advance`` for RK4 steps from x0 under a linear law, or FEEDBACK on
+    one row; the state it returns depends on n1 alone, not on the
+    intervals."""
     nb, dim = x0.shape
     law = model.law
     feedback = law is RateLaw.FEEDBACK
@@ -793,10 +782,8 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
         prod = np.empty((9, min(size, nb), hi), dtype=x0.dtype)
         # each block of rows' operators, one per step of a block of steps, its
         # input views and product, and as floats the product, the tap sum's
-        # output and the state: the tap sum overwrites the state, whose block
-        # the product has read, or under FEEDBACK goes to the scratch state and
-        # is added to it; a window short of dim has one row, so its output is
-        # contiguous
+        # output and the state; a window short of dim has one row, so its
+        # output is contiguous
         rows = [(list(ops[:, :, r]) * (span if build is None else 1), views[:, r, :hi],
                  prod[:, :r.stop - r.start], prod[:, :r.stop - r.start].reshape(9, -1).view(float),
                  (states[1] if feedback else x)[r, :hi].reshape(-1).view(float),
@@ -847,12 +834,8 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
     """Fixed-step RK4 on the stored diagonals ``x0``, shared by
     :func:`integrate` and the population ladder; returns the trajectory
     and the final diagonals.  A sample keeps the populations and the
-    purity (each k > 0 diagonal counted twice, for its k < 0 mirror).  A
-    checkpoint calls a state with an entry beyond 2 in modulus, or not
-    finite, blown up, as no state inside the budget has one; then it checks
-    the trace and the minimum eigenvalue, the minimum population of a
-    diagonal state, else :func:`_min_eigenvalue`'s of the stored entries
-    above ``_NEGLIGIBLE``.  ``min_eig0``, if given, is the minimum at t = 0."""
+    purity (each k > 0 diagonal counted twice, for its k < 0 mirror).
+    ``min_eig0``, if given, is the minimum eigenvalue at t = 0."""
     x = x0
     dt, n_steps = cfg.dt, cfg.n_steps
     # a run of no steps never advances, so it builds no propagator
