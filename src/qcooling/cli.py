@@ -10,11 +10,11 @@ so repeated runs are bit-identical.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .checks import SUITES, run_suites
-from .core import PhysicalScales, high_temp_occupation, occupation_from_temperature
+from .core import (PhysicalScales, _nonnegative, high_temp_occupation,
+                   occupation_from_temperature)
 from .ladder import evolve_populations
 from .laws import CoolingParams, LawKind, evaluate_law, half_thermalization_time, time_to_value
 from .lindblad import (IntegrationError, IntegratorConfig, RateLaw, RateModel,
@@ -93,8 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _occupation_inputs(args) -> tuple[float, float]:
     """Resolve (n0, n_res) from occupation- or temperature-mode flags."""
     if args.n0 is not None:
-        if not (math.isfinite(args.n0) and args.n0 >= 0):
-            raise ValueError(f"--n0 must be >= 0 and finite, got {args.n0}")
+        _nonnegative("--n0", args.n0)
         return args.n0, args.nr
     if args.map_kind is None or args.theta0 is None:
         raise ValueError(
@@ -115,11 +114,15 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--t0 and --tr must be given together")
     if occ_mode and (args.n0 is None or args.nr is None):
         raise ValueError("--n0 and --nr must be given together")
-    if args.law in ANALYTIC_LAWS:
-        for flag, value in (("--theta0", args.theta0), ("--map", args.map_kind),
-                            ("--dim", args.dim), ("--model", args.model)):
-            if value is not None:
-                raise ValueError(f"--law {args.law} does not read {flag}")
+    # a flag the run does not read would pass a value with no effect; only the
+    # integrators read any, and --theta0 and --map only to convert temperatures
+    integrator = args.law in INTEGRATOR_LAWS
+    for flag, value, read in (("--theta0", args.theta0, temp_mode),
+                              ("--map", args.map_kind, temp_mode),
+                              ("--dim", args.dim, True), ("--model", args.model, True)):
+        if value is not None and not (integrator and read):
+            raise ValueError(f"--law {args.law} does not read {flag}"
+                             + (" with --n0/--nr" if integrator else ""))
 
     header = {"command": "simulate", "law": args.law, "gamma": args.gamma,
               "dt": args.dt, "t_end": args.t_end}
@@ -177,15 +180,12 @@ def _cmd_halftime(args) -> int:
 
 def _cmd_cooltime(args) -> int:
     params = CoolingParams(x0=args.t0, x_res=args.tr, gamma=args.gamma)
+    laws = ("newton", "modified") if args.compare else (args.law,)
+    times = [time_to_value(LawKind(law), params, args.target) for law in laws]
+    for law, t in zip(laws, times):
+        print(f"{law}: t = {_fmt(t)}")
     if args.compare:
-        t_newton = time_to_value(LawKind.NEWTON, params, args.target)
-        t_modified = time_to_value(LawKind.MODIFIED, params, args.target)
-        print(f"newton: t = {_fmt(t_newton)}")
-        print(f"modified: t = {_fmt(t_modified)}")
-        print(f"ratio modified/newton = {_fmt(t_modified / t_newton)}")
-    else:
-        t_law = time_to_value(LawKind(args.law), params, args.target)
-        print(f"{args.law}: t = {_fmt(t_law)}")
+        print(f"ratio modified/newton = {_fmt(times[1] / times[0])}")
     return 0
 
 

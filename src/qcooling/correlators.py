@@ -70,15 +70,12 @@ from itertools import accumulate
 
 import numpy as np
 
+from .core import _integer, _member, _nonnegative, _positive
+
 
 class LadderOp(Enum):
     LOWER = "lower"
     RAISE = "raise"
-
-
-def _check_occupation(name: str, n: float) -> None:
-    if not (math.isfinite(n) and n >= 0):
-        raise ValueError(f"{name} must be >= 0 and finite, got {n}")
 
 
 def thermal_two_point(left: LadderOp, right: LadderOp, n_bar: float) -> complex:
@@ -87,7 +84,9 @@ def thermal_two_point(left: LadderOp, right: LadderOp, n_bar: float) -> complex:
     <raise lower> = n_bar, <lower raise> = 1 + n_bar, and the
     particle-nonconserving pairs vanish (the thermal state is diagonal).
     """
-    _check_occupation("n_bar", n_bar)
+    _member("left", left, LadderOp)
+    _member("right", right, LadderOp)
+    _nonnegative("n_bar", n_bar)
     if left is LadderOp.RAISE and right is LadderOp.LOWER:
         return complex(n_bar)
     if left is LadderOp.LOWER and right is LadderOp.RAISE:
@@ -115,9 +114,10 @@ def brute_force_four_point(ops: tuple[LadderOp, LadderOp, LadderOp, LadderOp],
 
     Requires the thermal tail beyond the truncation to be < 1e-10 in mass.
     """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    _check_occupation("n_bar", n_bar)
+    for op in ops:
+        _member("each of ops", op, LadderOp)
+    dim = _integer("dim", dim, 2)
+    _nonnegative("n_bar", n_bar)
     x = n_bar / (1.0 + n_bar)
     if x > 0 and x ** dim > 1e-10:
         raise ValueError(
@@ -234,8 +234,7 @@ def _kernel_sums(delta: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
 def bath_occupations(grid: ModeGrid, temperature: float) -> np.ndarray:
     """Thermal occupation of each grid mode at the given temperature, read
     in angular-frequency units (oscillator quantum == frequency)."""
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    _positive("temperature", temperature)
     return 1.0 / np.expm1(grid.frequencies / temperature)
 
 
@@ -252,7 +251,7 @@ def evolved_spectral_density(grid: ModeGrid, omega0: float, n_sys: float,
     the post-transient window is too short for a trustworthy fit (narrow
     band and/or short times).  The values are real, stored as complex.
     """
-    _check_occupation("n_sys", n_sys)
+    _nonnegative("n_sys", n_sys)
     t_values = np.asarray(t_values, dtype=float)
     if t_values.ndim != 1 or t_values.size < 2:
         raise ValueError("t_values must be a 1-D array of >= 2 times")

@@ -23,6 +23,8 @@ from enum import Enum
 
 import numpy as np
 
+from .core import _member, _positive
+
 
 class LawKind(Enum):
     NEWTON = "newton"
@@ -44,8 +46,7 @@ class CoolingParams:
     gamma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        _positive("gamma", self.gamma)
         if not (math.isfinite(self.x0) and math.isfinite(self.x_res)):
             raise ValueError("x0 and x_res must be finite")
 
@@ -59,6 +60,7 @@ def _check_time(t):
 
 def evaluate_law(kind: LawKind, params: CoolingParams, t):
     """Value of the law at time(s) ``t`` (scalar or array, t >= 0)."""
+    _member("kind", kind, LawKind)
     t = _check_time(t)
     g = params.gamma
     if kind is LawKind.MODIFIED:
@@ -86,6 +88,7 @@ def time_to_value(kind: LawKind, params: CoolingParams, x_target: float) -> floa
     law the quadratic (g t)^2/2 + g t = L has a single positive root,
     t = (sqrt(1 + 2 L) - 1)/gamma with L = ln((x0-x_res)/(x_target-x_res)).
     """
+    _member("kind", kind, LawKind)
     lo, hi = min(params.x0, params.x_res), max(params.x0, params.x_res)
     if not (math.isfinite(x_target) and lo < x_target < hi):
         raise ValueError(

@@ -106,6 +106,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .core import _integer, _member, _nonnegative, _positive
+
 
 class RateLaw(Enum):
     CONSTANT = "constant"
@@ -130,10 +132,9 @@ class RateModel:
     n_res: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not (math.isfinite(self.n_res) and self.n_res >= 0):
-            raise ValueError(f"n_res must be >= 0 and finite, got {self.n_res}")
+        _member("law", self.law, RateLaw)
+        _positive("gamma", self.gamma)
+        _nonnegative("n_res", self.n_res)
 
     def rates(self, t, n_sys):
         """(g_down, g_up) at time t for mean occupation n_sys, either of which
@@ -167,10 +168,8 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (math.isfinite(self.t_end) and self.t_end >= 0):
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+        _positive("dt", self.dt)
+        _nonnegative("t_end", self.t_end)
         every = self.record_every
         if not (hasattr(every, "__index__") and operator.index(every) >= 1):
             raise ValueError(f"record_every must be an integer >= 1, got {every!r}")
@@ -245,8 +244,7 @@ def default_dim(n_max: float) -> int:
     n_max should be the largest mean occupation the run will see,
     typically max(n_sys(0), n_res).
     """
-    if not (math.isfinite(n_max) and n_max >= 0):
-        raise ValueError(f"n_max must be >= 0 and finite, got {n_max}")
+    _nonnegative("n_max", n_max)
     return math.ceil(n_max + 12.0 * math.sqrt(n_max + 1.0)) + 4
 
 
@@ -256,25 +254,14 @@ def _thermal_dim(n_bar: float, eps: float) -> int:
     return 1 if x == 0 else math.floor(math.log(eps) / math.log(x)) + 1
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int (a numpy integer passes), else ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def thermal_state(n_bar: float, dim: int) -> np.ndarray:
     """Thermal (geometric) density matrix renormalized over the truncation.
 
     Warns if the truncation captures less than 99.9% of the untruncated
     mass, i.e. (n_bar/(1+n_bar))**dim > 1e-3.
     """
-    dim = _integer("dim", dim)
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    if not (math.isfinite(n_bar) and n_bar >= 0):
-        raise ValueError(f"n_bar must be >= 0 and finite, got {n_bar}")
+    dim = _integer("dim", dim, 2)
+    _nonnegative("n_bar", n_bar)
     x = n_bar / (1.0 + n_bar)
     enough = _thermal_dim(n_bar, 1e-3)
     if dim < enough:
@@ -290,10 +277,8 @@ def thermal_state(n_bar: float, dim: int) -> np.ndarray:
 
 def number_state(level: int, dim: int) -> np.ndarray:
     """Projector onto Fock level ``level`` (sharp occupation)."""
-    level, dim = _integer("level", level), _integer("dim", dim)
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    if not (0 <= level < dim):
+    level, dim = _integer("level", level, 0), _integer("dim", dim, 2)
+    if level >= dim:
         raise ValueError(f"level must satisfy 0 <= level < dim, got {level}")
     rho = np.zeros((dim, dim), dtype=complex)
     rho[level, level] = 1.0
@@ -356,6 +341,8 @@ def check_density_matrix(rho: np.ndarray):
         rows, values = None, diagonal
     if not np.isfinite(values).all():
         raise ValueError("density matrix has an entry that is not finite")
+    # a zero entry with a zero mirror adds nothing, and a population's
+    # asymmetry is twice its imaginary part
     herm = (2.0 * np.abs(diagonal.imag).max() if rows is None
             else np.abs(values - rho[cols, rows].conj()).max())
     if not herm <= _HERM_TOL:
@@ -541,8 +528,7 @@ def lindblad_rhs(rho: np.ndarray, t: float, model: RateModel) -> np.ndarray:
     for m the diagonal of the truncated a a+ (i + 1, zero at the top
     level), without the terms that reach outside the basis.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be >= 0 and finite, got {t}")
+    _nonnegative("t", t)
     g_down, g_up = model.rates(t, mean_occupation(rho))
     n = np.arange(float(len(rho)))
     decay = g_down * n + g_up * np.append(n[1:], 0.0)

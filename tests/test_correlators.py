@@ -79,6 +79,27 @@ def test_brute_force_rejects_invalid_occupation(n_bar):
         brute_force_four_point((R, L, R, L), n_bar, 40)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: thermal_two_point("raise", L, 1.0), "left"),
+    (lambda: thermal_two_point(R, "lower", 1.0), "right"),
+    (lambda: wick_four_point((R, "lower", R, L), 1.0), "right"),
+    (lambda: brute_force_four_point((R, L, "raise", L), 1.0, 200), "each of ops")],
+    ids=["two-point left", "two-point right", "wick", "brute force"])
+def test_an_op_that_is_not_a_ladder_op_is_rejected(call, name):
+    # no identity test against the members holds for a member's value: the
+    # two-point table used to read it as a vanishing pair, and the trace as
+    # a raising factor
+    with pytest.raises(ValueError, match=f"{name} must be a LadderOp member"):
+        call()
+
+
+def test_brute_force_rejects_a_non_integer_dim():
+    with pytest.raises(ValueError, match="dim must be an integer, got 200.5"):
+        brute_force_four_point((R, L, R, L), 1.0, 200.5)
+    assert (brute_force_four_point((R, L, R, L), 1.0, np.int64(200))
+            == brute_force_four_point((R, L, R, L), 1.0, 200))
+
+
 @settings(max_examples=80, deadline=None)
 @given(ops=st.sampled_from(list(product((L, R), repeat=4))),
        dim=st.integers(2, 40), scale=st.floats(0.0, 0.99))

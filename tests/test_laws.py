@@ -64,6 +64,19 @@ def test_half_time_independent_of_endpoints():
             assert time_to_value(kind, params, midpoint) == pytest.approx(t_half, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["modified", 2])
+@pytest.mark.parametrize("call", [
+    lambda kind: evaluate_law(kind, CoolingParams(x0=8.0, x_res=2.0, gamma=1.0), 1.0),
+    lambda kind: half_thermalization_time(kind, 1.0),
+    lambda kind: time_to_value(kind, FIG_PARAMS, 800.0)],
+    ids=["evaluate_law", "half_thermalization_time", "time_to_value"])
+def test_a_kind_that_is_not_a_law_kind_is_rejected(call, kind):
+    # "modified" is the value of a member, not the member, so every identity
+    # test against the members fails on it: it used to run the exponential law
+    with pytest.raises(ValueError, match=f"kind must be a LawKind member, got {kind!r}"):
+        call(kind)
+
+
 def test_cooling_time_2000_to_800():
     t_newton = time_to_value(LawKind.NEWTON, FIG_PARAMS, 800.0)
     t_modified = time_to_value(LawKind.MODIFIED, FIG_PARAMS, 800.0)

@@ -39,6 +39,14 @@ def test_rate_model_validation():
         RateModel(law=RateLaw.CONSTANT, gamma=1.0, n_res=-0.1)
 
 
+@pytest.mark.parametrize("law", ["feedback", 42])
+def test_rate_model_rejects_a_law_that_is_not_a_rate_law(law):
+    # no identity test against the members holds for it, so it used to run
+    # as CONSTANT
+    with pytest.raises(ValueError, match=f"law must be a RateLaw member, got {law!r}"):
+        RateModel(law, 1.0, 2.0)
+
+
 # --- state constructors ----------------------------------------------------
 
 def test_thermal_state_ground_limit():
