@@ -52,18 +52,20 @@ A_s is A times the rate scale, and a word of length j with u factors U
 weighs g_down^(j - u) g_up^u.  Under FEEDBACK on one
 row a factor weighs its stage's U-rate e_s, plus g for a D, so each
 word's weight is a sum of the 16 products of the e_s times a matrix
-fixed per run.  The rates are read through RateModel.rates before the
-step, at the stage means: n_1 = n, the state's, and
-n_{s+1} = n + w_s levels.(A_s x_s), w_s stage s + 1's weight, where
-levels.(A x) = -g_down n + g_up (n + trace - dim x_top) on the truncated
-chain, the last term the wall.  Below it, where the window of live
-levels ends short of dim, every top entry is exactly 0, and the rates of
-a block of ``_WINDOW_EVERY`` steps follow from the state at its first
-step, the mean carried from step to step by the same identity; at the
-wall they are read a step at a time, the stage inputs' top entries from
-the state's top 3 through the top rows' taps.  A state with more than
-one row under FEEDBACK is stepped a stage at a time instead, each
-stage's rates read off its own input (:func:`_staged_step`).
+fixed per run.  The rates are RateModel.rates at the stage means,
+written out in scalars before the step (:func:`_feedback_build`):
+n_1 = n, the state's, and n_{s+1} = n + w_s levels.(A_s x_s), w_s stage
+s + 1's weight, where levels.(A x) = -g_down n + g_up (n + trace - dim
+x_top) on the truncated chain, the last term the wall.  Below it, where
+the window of live levels ends short of dim, every top entry is exactly
+0, and the rates of a block of ``_WINDOW_EVERY`` steps follow from the
+state at its first step, the mean carried from step to step by the same
+identity.  At the wall they are read a step at a time, the stage inputs'
+top entries from the state's top 3 through the top rows' taps, in a loop
+of its own whose every turn builds one step's taps and takes that step
+(:func:`_wall_steps`).  A state with more than one row under FEEDBACK is
+stepped a stage at a time instead, each stage's rates read off its own
+input (:func:`_staged_step`).
 
 A tap reused step after step must not hold a rounded 1 + delta, whose
 error adds up, so a FEEDBACK step is x + (P - I) x, its tap sum taken in
@@ -143,8 +145,15 @@ class RateModel:
         f = _rate_scale(self, t)
         if f is not None:
             return f * g * (1.0 + n_res), f * g * n_res
-        corr = g * g * (n_sys - n_res) * t
-        return g * (1.0 + n_res) + corr, g * n_res + corr
+        g2, down, up = self._feedback()
+        corr = g2 * (n_sys - n_res) * t
+        return down + corr, up + corr
+
+    def _feedback(self):
+        """FEEDBACK's constants (g^2, g (1 + n_res), g n_res): its rates are
+        g (1 + n_res) + c and g n_res + c, c = g^2 (n_sys - n_res) t."""
+        g = self.gamma
+        return g * g, g * (1.0 + self.n_res), g * self.n_res
 
 
 # the tolerance budget of every state check: Hermiticity, trace, positivity
@@ -580,8 +589,11 @@ def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
                       views[:1] + 3 * views[1:], [x[0].real] + 3 * [y[0].real],
                       [None, *slopes[:3]], slopes_flat))
 
+    g2, down, up = model._feedback()
+    n_res = model.n_res
+
     def advance(n0, n1):
-        dot, add, multiply, rates, taps = np.dot, np.add, np.multiply, model.rates, band.taps
+        dot, add, multiply, taps = np.dot, np.add, np.multiply, band.taps
         for n in range(n0 + 1, n1 + 1):
             t = (n - 1) * dt
             n_bar, trace = dot(moments, state_row).tolist()
@@ -589,7 +601,8 @@ def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
             for c, w, x_views, row, prev, k in stages:
                 if c:
                     add(x, prev, out=y)
-                g_down, g_up = rates(t + c, n_s)
+                corr = g2 * (n_s - n_res) * (t + c)
+                g_down, g_up = down + corr, up + corr
                 stage_rates[0] = stage_rates[1] = w * g_down
                 stage_rates[2] = stage_rates[3] = w * g_up
                 multiply(taps, x_views, out=prod)
@@ -623,56 +636,92 @@ def _run_tables():
 _RUN_FACTOR, _RUN_WEIGHT, _RUN_WORD = _run_tables()
 
 
+def _monomials(e1, e2, e3, e4):
+    """The 16 products of the stage U-rates e_s over the stages s in S, bit
+    s - 1 of S set (:data:`_RUN_FACTOR`)."""
+    e12, e34 = e1 * e2, e3 * e4
+    return (1.0, e1, e2, e12, e3, e1 * e3, e2 * e3, e12 * e3,
+            e4, e1 * e4, e2 * e4, e12 * e4, e34, e1 * e34, e2 * e34, e12 * e34)
+
+
 def _feedback_build(band: _Band, model: RateModel, dt: float, n_steps: int, row, ops, K):
     """``build(lo)``, which writes to ops, shape (span, 9, hi), the nine
     taps of P - I for each FEEDBACK step lo + 1 .. lo + span (at most
     n_steps) of a one-row state on its first hi levels, P the step's
     operator, from ``row``, which holds the state at step lo, and the
-    run's K (:data:`_RUN_FACTOR`; module docstring)."""
+    run's K (:data:`_RUN_FACTOR`; module docstring).  Each stage's rates
+    are ``RateModel.rates`` written out, operation for operation."""
     dim, span, hi = band.dim, len(ops), ops.shape[-1]
-    wall = hi == dim    # else every entry on rows n - 2 .. n is 0
     T, basis = _word_taps(band, hi)
-    Q, q = np.dot(K, T[1:].reshape(30, -1)), len(basis)
-    # the mean, the trace and rows n - 2 .. n, n = dim - 1, of the state, and
-    # the taps of D and U on rows n - 1 (dd1, ...) and n
-    moments = np.vstack((band.levels, np.ones(dim), np.eye(3, dim, dim - 3)))
-    dd1, dd, du1, _, ul1, ul, ud1, ud = band.top[..., -2:].ravel().tolist()
-    # (c_s, w_s, the weight of the stage's slope in the step, and whether to
-    # carry the top rows into the next stage's input: at the wall the means
-    # of stages 3 and 4 read row n of the inputs of stages 2 and 3)
-    stages = tuple(zip((0.0, 0.5 * dt, 0.5 * dt, dt), (0.5 * dt, 0.5 * dt, dt, 0.0),
-                       (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0), (wall, wall, False, False)))
+    Q = np.dot(K, T[1:].reshape(30, -1))
     mono, coeffs = np.zeros((span, 16)), np.empty((span, Q.shape[1]))
-    mono_flat, coeffs_q, out = mono.reshape(-1), coeffs.reshape(-1, q), ops.reshape(-1, hi)
+    # the mean, the trace and rows n - 2 .. n, n = dim - 1, of the state, read
+    # together on both paths: BLAS's sum for one row can depend on the others
+    moments = np.vstack((band.levels, np.ones(dim), np.eye(3, dim, dim - 3)))
+    read, weigh, expand = moments.dot, mono.dot, coeffs.reshape(-1, len(basis)).dot
+    out = ops.reshape(-1, hi)
+    g2, down, up = model._feedback()
+    n_res, h = model.n_res, 0.5 * dt
+    if hi < dim:
+        # every entry on rows n - 2 .. n is 0, and the mean is carried from
+        # step to step
+        b1, b2, mono_flat = dt / 6.0, dt / 3.0, mono.reshape(-1)
 
-    def build(lo):
-        rates, dot = model.rates, np.dot
-        n_bar, trace, z0, z1, z2 = dot(moments, row).tolist()
-        monomials = []
-        for n in range(lo, min(lo + span, n_steps)):
-            t, n_s, n_next, y1, y2, e = n * dt, n_bar, n_bar, z1, z2, []
-            for c, w, b, top in stages:
-                g_down, g_up = rates(t + c, n_s)
-                e.append(g_up)
-                slope = g_up * (n_s + trace - dim * y2) - g_down * n_s
-                n_s, n_next = n_bar + w * slope, n_next + b * slope
-                if top:
-                    # rows n - 1 and n of the next stage's input x + w A y;
-                    # row n - 1 reads y's row n - 2 as x's, exact after stage 1,
-                    # where y is x, and read by no mean after stage 2
-                    y1, y2 = (z1 + w * (g_down * (dd1 * y1 + du1 * y2)
-                                        + g_up * (ul1 * z0 + ud1 * y1)),
-                              z2 + w * (g_down * dd * y2 + g_up * (ul * y1 + ud * y2)))
-            n_bar = n_next
-            # the products of the e_s over the stages s in S, bit s - 1 of S set
-            e1, e2, e3, e4 = e
-            e12, e34 = e1 * e2, e3 * e4
-            monomials += (1.0, e1, e2, e12, e3, e1 * e3, e2 * e3, e12 * e3,
-                          e4, e1 * e4, e2 * e4, e12 * e4, e34, e1 * e34, e2 * e34, e12 * e34)
-        # a short last block leaves the rows past it stale, which no step reads
-        mono_flat[:len(monomials)] = monomials
-        dot(mono, Q, out=coeffs)
-        dot(coeffs_q, basis, out=out)
+        def build(lo):
+            n_bar, trace = read(row)[:2].tolist()
+            monomials = []
+            for n in range(lo, min(lo + span, n_steps)):
+                t = n * dt
+                c = g2 * (n_bar - n_res) * t
+                d, e1 = down + c, up + c
+                s1 = e1 * (n_bar + trace) - d * n_bar
+                m = n_bar + h * s1
+                c = g2 * (m - n_res) * (t + h)
+                d, e2 = down + c, up + c
+                s2 = e2 * (m + trace) - d * m
+                m = n_bar + h * s2
+                c = g2 * (m - n_res) * (t + h)
+                d, e3 = down + c, up + c
+                s3 = e3 * (m + trace) - d * m
+                m = n_bar + dt * s3
+                c = g2 * (m - n_res) * (t + dt)
+                d, e4 = down + c, up + c
+                n_bar = n_bar + b1 * s1 + b2 * s2 + b2 * s3 + b1 * (e4 * (m + trace) - d * m)
+                monomials += _monomials(e1, e2, e3, e4)
+            # a short last block leaves the rows past it stale, which no step reads
+            mono_flat[:len(monomials)] = monomials
+            weigh(Q, coeffs)
+            expand(basis, out)
+
+        return build
+
+    # the taps of D and U on rows n - 1 (dd1, ...) and n: the slopes of stages
+    # 2 and 3, and so the means of stages 3 and 4, read row n of their inputs
+    # x + w A y, carried on rows n - 1 and n
+    dd1, dd, du1, _, ul1, ul, ud1, ud = band.top[..., -2:].ravel().tolist()
+
+    def build(n):
+        n_bar, trace, z0, z1, z2 = read(row).tolist()
+        t = n * dt
+        c = g2 * (n_bar - n_res) * t
+        d, e1 = down + c, up + c
+        s = e1 * (n_bar + trace - dim * z2) - d * n_bar
+        # rows n - 1 and n of stage 2's input; stage 1's input is x
+        y1 = z1 + h * (d * (dd1 * z1 + du1 * z2) + e1 * (ul1 * z0 + ud1 * z1))
+        y2 = z2 + h * (d * dd * z2 + e1 * (ul * z1 + ud * z2))
+        m = n_bar + h * s
+        c = g2 * (m - n_res) * (t + h)
+        d, e2 = down + c, up + c
+        s = e2 * (m + trace - dim * y2) - d * m
+        # row n of stage 3's input, the last that a mean reads
+        y2 = z2 + h * (d * dd * y2 + e2 * (ul * y1 + ud * y2))
+        m = n_bar + h * s
+        c = g2 * (m - n_res) * (t + h)
+        d, e3 = down + c, up + c
+        m = n_bar + dt * (e3 * (m + trace - dim * y2) - d * m)
+        mono[0] = _monomials(e1, e2, e3, up + g2 * (m - n_res) * (t + dt))
+        weigh(Q, coeffs)
+        expand(basis, out)
 
     return build
 
@@ -710,6 +759,26 @@ def _dense_steps(taps: np.ndarray, states: np.ndarray):
     return run
 
 
+def _wall_steps(build, op, views, states):
+    """``run(n0, n1)`` for FEEDBACK steps of a one-row state on all its
+    levels, from states[0], its tap sum taken in states[1]: one ``build``
+    of the step's taps ``op`` (9, dim) and one step a turn."""
+    x, out = states[0], states[1, 0]
+    prod = np.empty(op.shape)
+    views, tap_sum = views[:, 0], np.ones(9).dot
+
+    def run(n0, n1):
+        multiply, add, row = np.multiply, np.add, x[0]
+        for n in range(n0, n1):
+            build(n)
+            multiply(op, views, prod)
+            tap_sum(prod, out)
+            add(row, out, row)
+        return x
+
+    return run
+
+
 def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
                      dt: float, n_steps: int):
     """``advance`` for RK4 steps from x0 under a linear law, or FEEDBACK on
@@ -741,6 +810,8 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
             span = _WINDOW_EVERY if hi < dim else 1
             ops = np.empty((span, 9, 1, hi))
             build = _feedback_build(band, model, dt, n_steps, x[0], ops.reshape(span, 9, hi), K)
+            if hi == dim:
+                return _wall_steps(build, ops[0, :, 0], views, states)
         elif (law is RateLaw.CONSTANT and hi == dim and nb * dim * dim <= 8 * _BUILD_ROWS
               and nb * dim ** 3 <= 4 * _BUILD_ROWS * n_steps):
             P = (_chain_powers(band, dim, g_down, g_up) if nb == 1

@@ -721,6 +721,80 @@ def test_feedback_step_at_the_wall_matches_rk4_on_the_banded_operator(dim, seed,
     assert np.abs(got[0] - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
+def _feedback_taps_by_stage_rates(band, model, dt, n_steps, row, K, span, hi, lo):
+    """The taps of P - I that _feedback_build writes for the FEEDBACK steps
+    lo + 1 .. lo + span (at most n_steps), each stage's rates read through
+    model.rates at the stage's mean, stage by stage."""
+    dim = band.dim
+    wall = hi == dim
+    T, basis = lindblad._word_taps(band, hi)
+    Q = np.dot(K, T[1:].reshape(30, -1))
+    moments = np.vstack((band.levels, np.ones(dim), np.eye(3, dim, dim - 3)))
+    dd1, dd, du1, _, ul1, ul, ud1, ud = band.top[..., -2:].ravel().tolist()
+    # (c_s, w_s, the weight of the stage's slope in the step, and whether to
+    # carry the top rows into the next stage's input)
+    stages = tuple(zip((0.0, 0.5 * dt, 0.5 * dt, dt), (0.5 * dt, 0.5 * dt, dt, 0.0),
+                       (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0), (wall, wall, False, False)))
+    mono = np.zeros((span, 16))
+    n_bar, trace, z0, z1, z2 = np.dot(moments, row).tolist()
+    for j, n in enumerate(range(lo, min(lo + span, n_steps))):
+        t, n_s, n_next, y1, y2, e = n * dt, n_bar, n_bar, z1, z2, []
+        for c, w, b, top in stages:
+            g_down, g_up = model.rates(t + c, n_s)
+            e.append(g_up)
+            slope = g_up * (n_s + trace - dim * y2) - g_down * n_s
+            n_s, n_next = n_bar + w * slope, n_next + b * slope
+            if top:
+                y1, y2 = (z1 + w * (g_down * (dd1 * y1 + du1 * y2)
+                                    + g_up * (ul1 * z0 + ud1 * y1)),
+                          z2 + w * (g_down * dd * y2 + g_up * (ul * y1 + ud * y2)))
+        n_bar = n_next
+        e1, e2, e3, e4 = e
+        # the product of the e_s over the stages in S, bit s - 1 of S set
+        mono[j] = [low * high for high in (1.0, e3, e4, e3 * e4) for low in (1.0, e1, e2, e1 * e2)]
+    coeffs = np.dot(mono, Q)
+    return np.dot(coeffs.reshape(-1, len(basis)), basis).reshape(span, 9, hi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(2, 60), seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.1, 3.0),
+       n_res=st.floats(0.0, 60.0), t0=st.floats(0.0, 3.0), top=st.floats(0.0, 1.0),
+       live=st.integers(1, 60), steps=st.integers(1, 20))
+# dims below 4, where the top rows reach the bottom of the chain
+@example(dim=2, seed=1, gamma=1.0, n_res=1.0, t0=0.5, top=0.5, live=60, steps=1)
+@example(dim=3, seed=2, gamma=2.0, n_res=5.0, t0=1.0, top=1.0, live=60, steps=1)
+# a cold state in a warm bath late in the run: g_up < 0 at every stage, on
+# all levels and on a window with a short last block
+@example(dim=60, seed=1, gamma=2.0, n_res=60.0, t0=2.0, top=0.0, live=60, steps=1)
+@example(dim=60, seed=1, gamma=2.0, n_res=60.0, t0=2.0, top=0.0, live=20, steps=7)
+# a warm bath at the wall, rates near 70
+@example(dim=17, seed=0, gamma=1.75, n_res=39.0, t0=0.84375, top=0.5, live=60, steps=1)
+def test_feedback_taps_equal_those_of_the_stage_rates_bit_for_bit(dim, seed, gamma, n_res, t0,
+                                                                   top, live, steps):
+    # the build's rates are RateModel.rates written out: on all levels (live
+    # reaches the wall) one step from the state's top rows, and on a window
+    # of hi levels a block of up to 16 steps from the carried mean
+    rng = np.random.default_rng(seed)
+    band = lindblad._band(dim, (0,))
+    hi = live if live <= dim - 4 else dim
+    populations = rng.random(hi) ** 4
+    x = np.zeros(dim)
+    x[:hi] = (1.0 - top) * populations / populations.sum()
+    x[hi - 1] += top
+    model = RateModel(law=RateLaw.FEEDBACK, gamma=gamma, n_res=n_res)
+    dt = 0.1 / (dim * (1.0 + np.abs(model.rates(t0, band.levels @ x)).sum()))
+    f = np.array([dt, dt * gamma, 0.0, 1.0])[lindblad._RUN_FACTOR]
+    K = np.dot(f[0] * f[1] * f[2] * f[3] * lindblad._RUN_WEIGHT, lindblad._RUN_WORD)
+    lo = round(t0 / dt)
+    span = 1 if hi == dim else lindblad._WINDOW_EVERY
+    n_steps = lo + min(steps, span)
+    ops = np.empty((span, 9, hi))
+    lindblad._feedback_build(band, model, dt, n_steps, x, ops, K)(lo)
+    expect = _feedback_taps_by_stage_rates(band, model, dt, n_steps, x, K, span, hi, lo)
+    built = n_steps - lo
+    assert ops[:built].tobytes() == expect[:built].tobytes()
+
+
 def _feedback_run_step_by_step(dim, level, n_res, gamma, courant, steps):
     """A FEEDBACK ladder run of ``steps`` steps from Fock ``level``, advanced
     one step a call, against one explicit RK4 step from each state it

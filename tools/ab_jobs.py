@@ -6,10 +6,13 @@ every job on A and B alternately, ``--repeat`` times each, and prints the
 best times summed per rate law (or job kind) and their ratio B / A.  Every
 run must pass its oracle gate.  One process holds both sides, so a noisy
 host moves both alike and no per-process calibration plays a part.  One
-more, untimed run of each job per side keeps the trajectories its
-``lindblad.integrate`` and ``ladder.evolve_populations`` calls return, and
-the report counts, per law, the trajectory jobs whose populations, purity
-and final state are bit-identical on A and B, with the largest differences:
+more, untimed run of each job per side keeps the trajectories that its
+calls of ``integrate`` and ``evolve_populations`` return, under each name
+a job reaches them by (``lindblad``, ``ladder``, and the ``cli`` and
+``checks`` imports), and the report counts, per law or job kind, the jobs
+whose populations, purity and final state are bit-identical on A and B,
+with the largest differences.  When A and B are the same tree, a job whose
+trajectories differ in any bit fails the run, as a failed gate does:
 
     OPENBLAS_NUM_THREADS=1 python tools/ab_jobs.py /path/to/parent/src src \\
         --workload ladder-sweep --seeds 1 2 3
@@ -53,12 +56,17 @@ def captured(jobs, job, scratch, reference):
             return kept[-1]
         return wrapper
 
-    calls = jobs.lindblad.integrate, jobs.ladder.evolve_populations
-    jobs.lindblad.integrate, jobs.ladder.evolve_populations = map(keeping, calls)
+    names = [(jobs.lindblad, "integrate"), (jobs.ladder, "evolve_populations"),
+             (jobs.cli, "integrate"), (jobs.cli, "evolve_populations"),
+             (jobs.checks, "integrate")]
+    calls = [getattr(module, name) for module, name in names]
+    for (module, name), call in zip(names, calls):
+        setattr(module, name, keeping(call))
     try:
         ok = jobs.run_job(job, scratch, reference)[0]
     finally:
-        jobs.lindblad.integrate, jobs.ladder.evolve_populations = calls
+        for (module, name), call in zip(names, calls):
+            setattr(module, name, call)
     return ok, kept
 
 
@@ -77,9 +85,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
+    one_tree = Path(args.a).resolve() == Path(args.b).resolve()
     sides = {"A": load(args.a, "a"), "B": load(args.b, "b")}
     best, count, failed = {side: defaultdict(float) for side in sides}, defaultdict(int), 0
-    # per law: trajectory jobs, bit-identical ones, largest |dp| and |dpurity| / purity
+    # per law or job kind: trajectory jobs, bit-identical ones, largest |dp| and
+    # |dpurity| / purity
     same = defaultdict(lambda: [0, 0, 0.0, 0.0])
     with tempfile.TemporaryDirectory() as scratch:
         for jobs in sides.values():
@@ -124,7 +134,10 @@ def main(argv=None) -> int:
         print(f"{'law':>12} {'jobs':>5} {'identical':>9} {'max |dp|':>9} {'max rel dpurity':>15}")
         for key, (jobs, equal, dp, dpurity) in sorted(same.items()):
             print(f"{key:>12} {jobs:>5} {equal:>9} {dp:9.2e} {dpurity:15.2e}")
-    return 1 if failed else 0
+    differ = sum(jobs - equal for jobs, equal, _, _ in same.values())
+    if one_tree and differ:
+        print(f"{differ} jobs of one tree gave trajectories that differ in some bit")
+    return 1 if failed or (one_tree and differ) else 0
 
 
 if __name__ == "__main__":
