@@ -12,14 +12,15 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .checks import SUITES, run_suites
 from .core import (PhysicalScales, _nonnegative, high_temp_occupation,
                    occupation_from_temperature)
 from .ladder import evolve_populations
 from .laws import CoolingParams, LawKind, evaluate_law, half_thermalization_time, time_to_value
-from .lindblad import (IntegrationError, IntegratorConfig, RateLaw, RateModel,
-                       _thermal_dim, default_dim, integrate, number_state,
-                       thermal_state)
+from .lindblad import (IntegrationError, IntegratorConfig, RateLaw, RateModel, _populations,
+                       _thermal_dim, default_dim, integrate)
 
 ANALYTIC_LAWS = tuple(kind.value for kind in LawKind)
 INTEGRATOR_LAWS = ("lindblad", "ladder")
@@ -155,11 +156,12 @@ def _cmd_simulate(args) -> int:
             if not fock:
                 dim = max(dim, _thermal_dim(n0, 1e-9))
         header.update(model=law.value, dim=dim)
-        rho0 = number_state(int(round(n0)), dim) if fock else thermal_state(n0, dim)
+        # the ladder reads the start's populations alone, with no dense state
+        p0 = _populations(int(round(n0)) if fock else n0, dim, fock)
         if args.law == "lindblad":
-            traj = integrate(rho0, model, cfg)
+            traj = integrate(np.diag(p0.astype(complex)), model, cfg)
         else:
-            traj = evolve_populations(rho0.diagonal().real, model, cfg)
+            traj = evolve_populations(p0, model, cfg)
         columns = "t,n_bar,trace,purity,valid,neg_rate_flag"
         template = "%.9g,%.9g,%.9g,%.9g,%d,%d"
         data = (traj.times, traj.n_bar, traj.trace, traj.purity,

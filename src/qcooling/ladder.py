@@ -40,4 +40,5 @@ def evolve_populations(p0: np.ndarray, model: RateModel,
     total = p0.sum()
     if not _TRACE_MIN <= total <= _TRACE_MAX:
         raise ValueError(f"populations must sum to 1 within budget, got {total!r}")
-    return _evolve(_band(p0.size, (0,)), p0[None, :], model, cfg)[0]
+    # contiguous, so that no sample depends on how p0 is laid out in memory
+    return _evolve(_band(p0.size, (0,)), np.ascontiguousarray(p0[None, :]), model, cfg)[0]

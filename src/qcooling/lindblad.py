@@ -38,10 +38,12 @@ A_1 .. A_4 is, in M_s = dt A_s, b = (1, 2, 2, 1),
           + sum M_{s+2} M_{s+1} M_s / 12 + M_4 M_3 M_2 M_1 / 24,
 
 one nine-tap operator, stored taps-first and applied with one product
-with views of the state and one tap sum (:func:`_polynomial_step`).  A
-run keeps one state and steps it in place: the product reads a block of
-rows before the sum overwrites it, and each block, its rows independent
-chains, runs through a whole interval on its own.  In D and U, P is a
+and one tap sum (:func:`_polynomial_step`).  The product is taken in a
+contiguous copy of the nine overlapping views of the state, which numpy
+multiplies faster than the views themselves, copy included.  A run keeps
+one state and steps it in place: the copy reads a block of rows before
+the sum overwrites it, and each block, its rows independent chains, runs
+through a whole interval on its own.  In D and U, P is a
 weighted sum of the 31 ordered words of at most 4 factors
 (:func:`_products`), whose taps on the k = 0 chain (every diagonal
 state, and the ladder) are integers: on a row at least 4 below the top,
@@ -263,35 +265,44 @@ def _thermal_dim(n_bar: float, eps: float) -> int:
     return 1 if x == 0 else math.floor(math.log(eps) / math.log(x)) + 1
 
 
+def _populations(n0, dim: int, fock: bool, stacklevel: int = 2) -> np.ndarray:
+    """The diagonal of ``number_state(n0, dim)`` if ``fock``, else of
+    ``thermal_state(n0, dim)``, checked and warned about as they are, the
+    warning at ``warnings.warn``'s ``stacklevel``."""
+    if fock:
+        level, dim = _integer("level", n0, 0), _integer("dim", dim, 2)
+        if level >= dim:
+            raise ValueError(f"level must satisfy 0 <= level < dim, got {level}")
+        p = np.zeros(dim)
+        p[level] = 1.0
+        return p
+    dim = _integer("dim", dim, 2)
+    _nonnegative("n_bar", n0)
+    x = n0 / (1.0 + n0)
+    enough = _thermal_dim(n0, 1e-3)
+    if dim < enough:
+        warnings.warn(
+            f"thermal_state(n_bar={n0}, dim={dim}) keeps only "
+            f"{(1 - x**dim) * 100:.2f}% of the untruncated mass; "
+            f"consider dim >= {enough}",
+            stacklevel=stacklevel)
+    p = x ** np.arange(dim)
+    p /= p.sum()
+    return p
+
+
 def thermal_state(n_bar: float, dim: int) -> np.ndarray:
     """Thermal (geometric) density matrix renormalized over the truncation.
 
     Warns if the truncation captures less than 99.9% of the untruncated
     mass, i.e. (n_bar/(1+n_bar))**dim > 1e-3.
     """
-    dim = _integer("dim", dim, 2)
-    _nonnegative("n_bar", n_bar)
-    x = n_bar / (1.0 + n_bar)
-    enough = _thermal_dim(n_bar, 1e-3)
-    if dim < enough:
-        warnings.warn(
-            f"thermal_state(n_bar={n_bar}, dim={dim}) keeps only "
-            f"{(1 - x**dim) * 100:.2f}% of the untruncated mass; "
-            f"consider dim >= {enough}",
-            stacklevel=2)
-    p = x ** np.arange(dim)
-    p /= p.sum()
-    return np.diag(p.astype(complex))
+    return np.diag(_populations(n_bar, dim, False, 3).astype(complex))
 
 
 def number_state(level: int, dim: int) -> np.ndarray:
     """Projector onto Fock level ``level`` (sharp occupation)."""
-    level, dim = _integer("level", level, 0), _integer("dim", dim, 2)
-    if level >= dim:
-        raise ValueError(f"level must satisfy 0 <= level < dim, got {level}")
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[level, level] = 1.0
-    return rho
+    return np.diag(_populations(level, dim, True).astype(complex))
 
 
 def mean_occupation(rho: np.ndarray) -> float:
@@ -771,7 +782,8 @@ def _wall_steps(build, op, views, states):
         multiply, add, row = np.multiply, np.add, x[0]
         for n in range(n0, n1):
             build(n)
-            multiply(op, views, prod)
+            prod[...] = views
+            multiply(op, prod, prod)
             tap_sum(prod, out)
             add(row, out, row)
         return x
@@ -800,7 +812,7 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
         f = np.array([dt, dt * model.gamma, 0.0, 1.0])[_RUN_FACTOR]
         K = np.dot(f[0] * f[1] * f[2] * f[3] * _RUN_WEIGHT, _RUN_WORD)
     states, views = _shifted(x0, 9)
-    x, ones = states[0], np.ones(9)
+    x, tap_sum = states[0], np.ones(9).dot
 
     def make(hi):
         size = max(1, _BUILD_ROWS // hi)
@@ -834,30 +846,37 @@ def _polynomial_step(band: _Band, x0: np.ndarray, model: RateModel,
 
                 def build(lo):
                     c = coeffs[lo:lo + span]
-                    np.dot(c, B, out=ops_flat[:len(c)])
+                    c.dot(B, ops_flat[:len(c)])
 
-        prod = np.empty((9, min(size, nb), hi), dtype=x0.dtype)
         # each block of rows' operators, one per step of a block of steps, its
-        # input views and product, and as floats the product, the tap sum's
-        # output and the state; a window short of dim has one row, so its
-        # output is contiguous
-        rows = [(list(ops[:, :, r]) * (span if build is None else 1), views[:, r, :hi],
-                 prod[:, :r.stop - r.start], prod[:, :r.stop - r.start].reshape(9, -1).view(float),
-                 (states[1] if feedback else x)[r, :hi].reshape(-1).view(float),
-                 x[r, :hi].reshape(-1).view(float)) for r in blocks]
+        # input views and their contiguous copy, and as floats the copy, the
+        # tap sum's output and the state; a block of one row takes 2-D
+        # operands, and a window short of dim has one row, so its output is
+        # contiguous
+        copies, rows = np.empty(9 * min(size, nb) * hi, dtype=x0.dtype), []
+        for r in blocks:
+            at = r.start if r.stop - r.start == 1 else r
+            x_r = views[:, at, :hi]
+            copy = copies[:x_r.size].reshape(x_r.shape)
+            rows.append((list(ops[:, :, at]) * (span if build is None else 1), x_r, copy,
+                         copy.reshape(9, -1).view(float),
+                         (states[1] if feedback else x)[r, :hi].reshape(-1).view(float),
+                         x[r, :hi].reshape(-1).view(float)))
         built = None
 
         def run(n0, n1):
             nonlocal built
-            multiply, dot, add = np.multiply, np.dot, np.add
+            multiply, add = np.multiply, np.add
             for lo in range(n0 - n0 % span, n1, span):
                 if build is not None and lo != built:
                     build(lo)
                     built = lo
-                for seq, x_r, prod_r, terms, out, x_flat in rows:
-                    for op in seq[max(n0 - lo, 0):n1 - lo]:
-                        multiply(op, x_r, prod_r)
-                        dot(ones, terms, out)
+                steps = range(max(n0 - lo, 0), min(n1 - lo, span))
+                for seq, x_r, copy, terms, out, x_flat in rows:
+                    for s in steps:
+                        copy[...] = x_r
+                        multiply(seq[s], copy, copy)
+                        tap_sum(terms, out)
                         if feedback:
                             add(x_flat, out, x_flat)
             return x
@@ -902,7 +921,8 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
     # Python ints compare fastest
     recorded = cfg.recorded_steps.tolist()
     events = sorted({*recorded, *range(0, n_steps, _CHECK_EVERY), n_steps})
-    pops, purities, check_times, min_eigs = [], [], [], []
+    pops, purities = np.empty((len(recorded), band.dim)), np.empty(len(recorded))
+    check_times, min_eigs, sample, one_row = [], [], 0, len(x0) == 1
 
     def checkpoint(step, min_eig):
         t = step * dt
@@ -928,17 +948,18 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
         for n0, step in zip([0] + events, events):
             if step:
                 x = advance(n0, step)
-            if step == recorded[len(pops)]:
-                p = x[0].real
-                pops.append(p.copy())
-                purities.append(2.0 * float(np.vdot(x, x).real) - float(p @ p))
-                if not math.isfinite(purities[-1]):
+            if step == recorded[sample]:
+                p = pops[sample] = x[0].real
+                # a one-row state is real, and its purity is p.p
+                purity = purities[sample] = (p.dot(p) if one_row
+                                             else 2.0 * np.vdot(x, x).real - p.dot(p))
+                sample += 1
+                if not math.isfinite(purity):
                     checkpoint(step, None)
             if step % _CHECK_EVERY == 0 or step == n_steps:
                 checkpoint(step, None if step else min_eig0)
 
     times = np.array(recorded) * dt
-    pops = np.array(pops)
     n_bar = pops @ band.levels
     g_down, g_up = model.rates(times, n_bar)
     return Trajectory(
@@ -946,7 +967,7 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
         n_bar=n_bar,
         populations=pops,
         trace=pops.sum(axis=1),
-        purity=np.array(purities),
+        purity=purities,
         # a law that reads neither time nor state gives one flag for all
         negative_rate=np.full(times.shape, (g_down < 0.0) | (g_up < 0.0)),
         within_rate_bound=(n_bar - model.n_res) * model.gamma * times <= model.n_res,

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -124,6 +125,24 @@ def test_simulate_thermal_start_is_sized_by_its_own_tail(capsys, law):
     header, _, rows = parse_csv(out)
     assert header["dim"] == "187"
     assert rows[0, 1] == pytest.approx(8.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("n0", ["8", "8.5"], ids=["fock", "thermal"])
+def test_simulate_ladder_builds_no_dense_start(capsys, n0):
+    # the ladder steps the populations alone, so its start is never a dense
+    # dim x dim state (10 MB complex at dim 800)
+    dim = 800
+    argv = ("simulate", "--law", "ladder", "--n0", n0, "--nr", "2", "--gamma", "1",
+            "--dt", "1e-4", "--t-end", "0.01", "--dim", str(dim))
+    run_cli(capsys, *argv)
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and parse_csv(out)[2].shape == (101, 6)
+    assert peak < dim * dim * 16
 
 
 @settings(max_examples=40, deadline=None)

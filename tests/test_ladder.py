@@ -113,3 +113,13 @@ def test_input_validation():
     with pytest.raises(ValueError):
         evolve_populations(np.array([1.5, -0.5]), CONSTANT,
                            IntegratorConfig(dt=0.01, t_end=1.0))
+
+
+def test_trajectory_does_not_depend_on_the_layout_of_p0():
+    # a strided p0, such as a density matrix's diagonal, gives the bits of
+    # its contiguous copy, the purity at t = 0 among them
+    p0 = thermal_state(0.7, 60).diagonal().real
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
+    strided, contiguous = (evolve_populations(p, SCALED, cfg) for p in (p0, p0.copy()))
+    for name in ("populations", "purity", "trace"):
+        assert np.array_equal(getattr(strided, name), getattr(contiguous, name))

@@ -1184,10 +1184,12 @@ def test_sampling_does_not_perturb_stepping(model, advance_calls, windows):
     # one propagator call runs each interval between samples and checkpoints;
     # where the intervals fall must change no bit, in particular not which
     # step's rate scale SCALED reads at an interval's edges, nor where the
-    # window of live levels of the Fock start grows
+    # window of live levels of the Fock start grows; the thermal start reaches
+    # the wall, where it takes the dense CONSTANT powers, the one-row SCALED
+    # step on all levels or the FEEDBACK wall loop
     steps, set_windows = 257, []
     for rho0, dt in ((_pure_state({2: 1.0, 5: 1.0j}, 24), 1e-3), (number_state(10, 300), 3e-4),
-                     (_fully_coherent(70, 5), 1e-3)):
+                     (_fully_coherent(70, 5), 1e-3), (thermal_state(2.0, 48), 1e-3)):
         runs, ends = {}, {}
         for every in (1, 7, 30):
             advance_calls.clear()
@@ -1210,11 +1212,13 @@ def test_sampling_does_not_perturb_stepping(model, advance_calls, windows):
         set_windows.append(ends[1])
     # the coherent starts step on all their levels (under FEEDBACK the staged
     # step, which sets no window), the 70 rows of the second in 3 blocks of
-    # at most 29; the Fock start's window grew
-    coherent, fock, rows = set_windows
+    # at most 29; the Fock start's window grew, and the thermal start's is
+    # all its levels
+    coherent, fock, rows, thermal = set_windows
     assert coherent == ([] if model is FEEDBACK else [24])
     assert rows == ([] if model is FEEDBACK else [70])
     assert len(fock) > 1 and fock[-1] < 300
+    assert thermal == [48]
 
 
 # --- the window of live levels ------------------------------------------------

@@ -3,7 +3,9 @@
 Loads the ``qcooling`` package of two source trees into one process, each
 bound to its own copy of ``perfbench/jobs.py`` (read, not changed), runs
 every job on A and B alternately, ``--repeat`` times each, and prints the
-best times summed per rate law (or job kind) and their ratio B / A.  Every
+best times summed per rate law (or job kind) and their ratio B / A, and
+the lowest and highest B / A of one repeat, the ratio of the two sides'
+summed times in it, which shows how far one pass can stray.  Every
 run must pass its oracle gate.  One process holds both sides, so a noisy
 host moves both alike and no per-process calibration plays a part.  One
 more, untimed run of each job per side keeps the trajectories that its
@@ -88,6 +90,8 @@ def main(argv=None) -> int:
     one_tree = Path(args.a).resolve() == Path(args.b).resolve()
     sides = {"A": load(args.a, "a"), "B": load(args.b, "b")}
     best, count, failed = {side: defaultdict(float) for side in sides}, defaultdict(int), 0
+    # per side and law or job kind, the summed time of each repeat
+    summed = {side: defaultdict(lambda: [0.0] * args.repeat) for side in sides}
     # per law or job kind: trajectory jobs, bit-identical ones, largest |dp| and
     # |dpurity| / purity
     same = defaultdict(lambda: [0, 0, 0.0, 0.0])
@@ -108,6 +112,8 @@ def main(argv=None) -> int:
                         failed += not ok
                 for side in sides:
                     best[side][key] += min(times[side])
+                    for r, t in enumerate(times[side]):
+                        summed[side][key][r] += t
                 kept = {}
                 for side in sides:
                     ok, kept[side] = captured(sides[side], job, scratch, reference)
@@ -124,11 +130,16 @@ def main(argv=None) -> int:
                     tally[2] = max(tally[2], float(abs(a.populations - b.populations).max()))
                     tally[3] = max(tally[3], float((abs(a.purity - b.purity) / a.purity).max()))
     print(f"{args.workload}, seeds {args.seeds}, best of {args.repeat}; {failed} failed gates")
-    print(f"{'law':>12} {'jobs':>5} {'A ms':>9} {'B ms':>9} {'B/A':>7}")
+    print(f"{'law':>12} {'jobs':>5} {'A ms':>9} {'B ms':>9} {'B/A':>7} {'min B/A':>7} "
+          f"{'max B/A':>7}")
     for key in [*sorted(count), "all"]:
         a, b = (sum(t.values()) if key == "all" else t[key] for t in best.values())
         jobs = sum(count.values()) if key == "all" else count[key]
-        print(f"{key:>12} {jobs:>5} {1e3 * a:9.1f} {1e3 * b:9.1f} {b / a:7.3f}")
+        ra, rb = (list(map(sum, zip(*t.values()))) if key == "all" else t[key]
+                  for t in summed.values())
+        ratios = [y / x for x, y in zip(ra, rb)]
+        print(f"{key:>12} {jobs:>5} {1e3 * a:9.1f} {1e3 * b:9.1f} {b / a:7.3f} "
+              f"{min(ratios):7.3f} {max(ratios):7.3f}")
     if same:
         print("trajectory output, B against A (populations, purity and final state)")
         print(f"{'law':>12} {'jobs':>5} {'identical':>9} {'max |dp|':>9} {'max rel dpurity':>15}")
