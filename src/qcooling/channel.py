@@ -2,20 +2,19 @@
 
 Under CONSTANT and FEEDBACK g_down - g_up = gamma, and under SCALED it is
 gamma (1 + gamma t), so the map from 0 to t is a phase-insensitive
-Gaussian channel Phi(eta, nu) with mean n(t) = eta n(0) + nu.  It is a
-pure loss of transmissivity tau = eta / G followed by a quantum-limited
-amplifier of gain G = 1 + nu (Caruso, Giovannetti & Holevo, NJP 8, 310,
-2006), and on populations both are binomial kernels (Ivan, Sabapathy &
-Simon, PRA 84, 042311, 2011):
+Gaussian channel Phi(eta, nu), whose eta and nu per law the README
+tabulates (Numerical notes).  nu solves nu' = -(g_down - g_up) nu + g_up,
+with FEEDBACK's g_up read from its closed-form mean, so no law needs a
+quadrature.  The channel is a pure loss of transmissivity tau = eta / G
+followed by a quantum-limited amplifier of gain G = 1 + nu (Caruso,
+Giovannetti & Holevo, NJP 8, 310, 2006), and on populations both are
+binomial kernels (Ivan, Sabapathy & Simon, PRA 84, 042311, 2011):
 
     loss       p(j|n) = C(n, j) tau^j (1 - tau)^(n - j),
-    amplifier  p(m|j) = C(m, j) G^-(j+1) (1 - 1/G)^(m - j),  m >= j.
+    amplifier  p(m|j) = C(m, j) G^-(j+1) (1 - 1/G)^(m - j),  m >= j,
 
-nu solves nu' = -(g_down - g_up) nu + g_up, with FEEDBACK's g_up read from
-its closed-form mean, so no law needs a quadrature.  The map is the
-untruncated answer: the Fock integrators' reflecting wall is absent, and
-the mass beyond ``dim`` levels is simply left out.  numpy only, so that
-``qcool verify`` runs without scipy.
+built from log-factorials with numpy only, so that ``qcool verify`` runs
+without scipy.
 """
 
 from __future__ import annotations
@@ -57,9 +56,11 @@ def _kernel(big, small: int, log_a, log_b, log_fact):
 def populations(p0, eta, nu, dim: int) -> np.ndarray:
     """Populations of levels 0 .. dim - 1 after the channel Phi(eta, nu)
     acts on the populations p0, one row per sample of the arrays (or
-    scalars) eta and nu.  Raises ValueError unless 0 < eta <= 1 and
-    nu >= 0, outside which the map is not a channel (FEEDBACK heating
-    drives nu below 0).  The sum runs over the level j that survives the
+    scalars) eta and nu: the untruncated answer, whose mass from level dim
+    up is left out, not reflected, and p0 itself at eta = 1, nu = 0.
+    Raises ValueError unless 0 < eta <= 1 and nu >= 0, outside which the
+    map is not a channel (FEEDBACK heating from n0 = 0 drives nu below 0
+    past t = 2/gamma).  The sum runs over the level j that survives the
     loss, so the temporaries are (samples, levels), not a kernel per
     sample."""
     eta, nu = np.atleast_1d(eta).astype(float), np.atleast_1d(nu).astype(float)

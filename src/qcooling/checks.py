@@ -1,12 +1,9 @@
-"""Self-contained verification suites behind ``qcool verify``.
+"""Self-contained verification suites behind ``qcool verify``, whose
+checks, oracles, bounds and measured distances the README lists.
 
 Each suite returns a list of :class:`CheckResult`; a suite passes when
 every check passes.  The suites are deliberately independent of the unit
-tests so they can run from an installed package.  Each compares the
-program with an oracle that shares no code with it: a brute-force trace
-(``wick``), the closed-form channel (``ladder-equiv``) and the closed-form
-slope gamma^2/2 (``spectral``).  Every bound is at least 4x the distance
-its check measures; the README lists both.
+tests so they can run from an installed package.
 """
 
 from __future__ import annotations

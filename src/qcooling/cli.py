@@ -1,10 +1,6 @@
-"""Command-line interface: trajectory simulation, characteristic times,
-and verification suites.
-
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
-3 numerical tolerance failure.  CSV output carries the full parameter
-set as ``# key=value`` header comments and uses 9 significant digits,
-so repeated runs are bit-identical.
+"""Command-line interface ``qcool``: trajectory simulation, characteristic
+times, and verification suites.  The README (Command line) states the
+exit codes, the CSV format and which flags each run reads.
 """
 
 from __future__ import annotations
@@ -150,8 +146,7 @@ def _cmd_simulate(args) -> int:
         fock = abs(n0 - round(n0)) < 1e-9
         dim = args.dim
         if dim is None:
-            # every run relaxes to the thermal state at n_res, and a thermal
-            # start has its own geometric tail: both outweigh the Poisson rule
+            # the README's default dim (Numerical notes)
             dim = max(default_dim(max(n0, n_res)), _thermal_dim(n_res, 1e-8))
             if not fock:
                 dim = max(dim, _thermal_dim(n0, 1e-9))

@@ -1,10 +1,5 @@
-"""Unit conventions, the temperature-to-occupation maps, and the argument
-checks that the other modules share.
-
-Temperatures are expressed in one user-supplied scale, ``theta0``, the
-oscillator quantum in temperature units.  The decay constant ``gamma``
-is given to each law with its other parameters (``CoolingParams``,
-``RateModel``).  No physical constants are hard-coded.
+"""Unit conventions (README, Units), the temperature-to-occupation maps,
+and the argument checks that the other modules share.
 """
 
 from __future__ import annotations

@@ -2,13 +2,10 @@
 
 The reservoir is a set of harmonic modes in a thermal state, so all of
 its correlation functions reduce to products of two-point functions
-(Gaussian/Wick factorization).  This module provides
-
-* the single-mode thermal two-point table and the three-pairing
-  four-point decomposition, with a brute-force trace oracle to check it,
-* a desk-scale numerical verification that the bath feedback grows
-  linearly in time with slope 2 pi^2 D^2(w0) |k(w0)|^4 (n_sys - n_res),
-  i.e. gamma^2/2 per unit occupation difference.
+(Gaussian/Wick factorization).  This module provides the single-mode
+thermal two-point table and the three-pairing four-point decomposition,
+with a brute-force trace oracle to check it, and the evolved spectral
+density whose linear growth in time the README states (layer 4).
 
 The brute-force four-point trace
 --------------------------------
@@ -177,10 +174,11 @@ class ModeGrid:
         """Uniform band [omega0 - half_width, omega0 + half_width] with a
         flat D |k|^2 = 1/(2 pi), which makes the decay constant 1, and
         trapezoid weights."""
+        _positive("omega0", omega0)
+        _positive("half_width", half_width)
         if omega0 - half_width <= 0:
             raise ValueError("band must stay at positive frequencies")
-        if n_modes < 2:
-            raise ValueError("need at least 2 modes")
+        n_modes = _integer("n_modes", n_modes, 2)
         f = np.linspace(omega0 - half_width, omega0 + half_width, n_modes)
         w = np.full(n_modes, f[1] - f[0])
         w[0] *= 0.5
@@ -203,8 +201,8 @@ def decay_constant(grid: ModeGrid, omega0: float) -> float:
 
 @dataclass
 class SpectralDensityResult:
-    """Evolved spectral density samples and the fitted linear slope of the
-    real part (fit excludes the initial transient t < 5/half_width)."""
+    """Evolved spectral density samples, the slope fitted to their real
+    part and the fit's RMS residual (:func:`evolved_spectral_density`)."""
 
     times: np.ndarray
     values: np.ndarray
@@ -213,8 +211,8 @@ class SpectralDensityResult:
 
 
 def _kernel_sums(delta: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_m K(delta_m, t) w[m, j] for each time and each column of w, as a
-    complex (times, columns) array, with K(0, t) = t."""
+    """sum_m K(delta_m, t) w[m, j] (module docstring) for each time and
+    each column of w, as a complex (times, columns) array."""
     zero = np.abs(delta) < np.finfo(float).tiny   # where 1/delta would overflow
     inv = np.divide(2.0, delta, out=np.zeros_like(delta), where=~zero)
     q = np.tan(np.multiply.outer(0.25 * t, delta))   # tan(h/2)
@@ -240,16 +238,15 @@ def bath_occupations(grid: ModeGrid, temperature: float) -> np.ndarray:
 
 def evolved_spectral_density(grid: ModeGrid, omega0: float, n_sys: float,
                              temperature: float, t_values) -> SpectralDensityResult:
-    """Bath-feedback spectral density over ``t_values`` and its fitted slope.
+    """Bath-feedback spectral density over ``t_values`` and the slope of
+    its real part, fitted past the transient t < 5/half_width over which
+    the resonance kernels are still building up.
 
     n_sys is held fixed across the evaluation (quasi-static reading: the
-    system occupation varies slowly on the bath correlation time).  The
-    expected slope of the real part is
-    2 pi^2 D^2(w0) |k(w0)|^4 (n_sys - n_res(w0)) = gamma^2/2 per unit
-    occupation difference; the fit discards the transient t < 5/half_width
-    over which the resonance kernels are still building up.  Warns when
-    the post-transient window is too short for a trustworthy fit (narrow
-    band and/or short times).  The values are real, stored as complex.
+    system occupation varies slowly on the bath correlation time).  Warns
+    when the post-transient window is too short for a trustworthy fit
+    (narrow band and/or short times).  The values are real, stored as
+    complex.
     """
     _nonnegative("n_sys", n_sys)
     t_values = np.asarray(t_values, dtype=float)

@@ -1,18 +1,8 @@
-"""Closed-form relaxation laws and their characteristic times.
-
-Three laws are covered, all relaxing an initial value x0 toward a
-reservoir value x_res at rate gamma:
-
-* ``NEWTON``   -- exponential law in temperature,  x_res + (x0-x_res) e^{-g t}
-* ``MARKOV``   -- the same exponential in occupation number
-* ``MODIFIED`` -- the accelerated law with a time-growing rate,
-                  x_res + (x0-x_res) e^{-g t (1 + g t / 2)}
-
-These are the reference oracles for the numerical integrators.  The
-modified law comes from a first-order treatment of the reservoir's own
-dynamics and is physically meaningful for t < 1/gamma; the functions
-here evaluate it for all t >= 0 and leave the validity caveat to the
-caller (the CLI emits a ``valid`` column).
+"""Closed-form relaxation laws (:class:`LawKind`; the README states them,
+layer 1) and their characteristic times, the reference oracles for the
+numerical integrators.  The modified law is evaluated for all t >= 0;
+the caller reads its validity window t < 1/gamma (the CLI's ``valid``
+column).
 """
 
 from __future__ import annotations

@@ -5,28 +5,13 @@ The dissipator is the standard pair of lowering/raising channels,
     dS/dt = -(g_down/2) [N S - 2 a S a+ + S N]
             -(g_up/2)   [a a+ S - 2 a+ S a + S a a+],
 
-integrated in the frame rotating with the free Hamiltonian (the
+with the rates of a :class:`RateLaw` (the README states the three laws,
+layer 2), integrated in the frame rotating with the free Hamiltonian (the
 commutator only rotates coherences and never touches populations or the
 mean occupation, so it is dropped; this removes the fast timescale and
-lets dt be set by the rates alone).
-
-Three rate laws are supported (:class:`RateLaw`):
-
-* ``CONSTANT``  g_down = g (1 + n_res),  g_up = g n_res  -- fixed rates.
-* ``FEEDBACK``  both rates get the additive, state-dependent correction
-  c = g^2 (n_sys(t) - n_res) t read off the instantaneous state, so
-  g_down = g_up + g always.  Its mean (``channel.parameters``) diverges
-  past t = 1/g: the law is only meaningful on t < 1/g.  It can drive g_up
-  negative when n_sys < n_res; such rates are flagged per sample, not
-  clamped.
-* ``SCALED``    both constant rates multiplied by (1 + g t), which makes
-  the mean occupation follow the accelerated closed form
-  n_res + (n(0) - n_res) exp(-g t (1 + g t / 2)) exactly.
-
-All operators are truncated to the lowest ``dim`` Fock levels (a+
-annihilates the top level), so the generator preserves the trace exactly,
-at the price of a reflecting wall at the top (sized by
-:func:`default_dim` and ``_thermal_dim``).
+lets dt be set by the rates alone).  All operators are truncated to the
+lowest ``dim`` Fock levels, a+ annihilating the top one: the README's
+reflecting wall, sized by :func:`default_dim` and ``_thermal_dim``.
 
 Only the diagonals rho[i + k, i] (k >= 0) present at t = 0 are stored,
 one per row of a (rows, dim) array, and each evolves on its own under
@@ -83,19 +68,17 @@ CONSTANT runs keep P, whose diagonal tap holds fl(1 + delta).
 
 Every propagator has one call shape, ``advance(n0, n1)``, which runs
 steps n0 + 1 .. n1, and a run calls it once per interval between its
-events: the recorded steps, every 100th step and the last, where it
-samples and checkpoints.  A one-row state is stepped, and its operator
-built, only on a window of its first hi levels, past which it stays
-exactly 0.  RK4 moves an entry at most 4 levels a step, so the window
-holds every entry above ``_NEGLIGIBLE`` for ``_WINDOW_EVERY`` steps if
-none lies in its last 4 ``_WINDOW_EVERY`` levels.  That is checked at
-every multiple of ``_WINDOW_EVERY`` steps, whatever the intervals; where
-it fails, the window is set 2 ``_WINDOW_EVERY`` levels wider than that
-needs, or to dim within 4 levels of the wall, and the steps are rebuilt.
-The band of each recent (dim, offsets), with its top rows' words, is
-kept, read-only, so runs on the same diagonals share one.  The README
-gives the step's measured stability limit; a step beyond it blows up,
-and the next checkpoint raises IntegrationError, naming the blow-up.
+events, the steps where it samples or checkpoints.  A one-row state is
+stepped, and its operator built, only on a window of its first hi
+levels, past which it stays exactly 0.  RK4 moves an entry at most 4
+levels a step, so the window holds every entry above ``_NEGLIGIBLE`` for
+``_WINDOW_EVERY`` steps if none lies in its last 4 ``_WINDOW_EVERY``
+levels.  That is checked at every multiple of ``_WINDOW_EVERY`` steps,
+whatever the intervals; where it fails, the window is set 2
+``_WINDOW_EVERY`` levels wider than that needs, or to dim within 4
+levels of the wall, and the steps are rebuilt.  The band of each recent
+(dim, offsets), with its top rows' words, is kept, read-only, so runs on
+the same diagonals share one.
 """
 
 from __future__ import annotations
@@ -152,15 +135,15 @@ class RateModel:
         return down + corr, up + corr
 
     def _feedback(self):
-        """FEEDBACK's constants (g^2, g (1 + n_res), g n_res): its rates are
-        g (1 + n_res) + c and g n_res + c, c = g^2 (n_sys - n_res) t."""
+        """FEEDBACK's constants (g^2, g (1 + n_res), g n_res), which the
+        steps that write out :meth:`rates` read."""
         g = self.gamma
         return g * g, g * (1.0 + self.n_res), g * self.n_res
 
 
 # the tolerance budget of every state check: Hermiticity, trace, positivity
 _HERM_TOL, _TRACE_MIN, _TRACE_MAX, _POS_TOL = 1e-12, 1.0 - 1e-6, 1.0 + 1e-9, 1e-8
-# steps between the checkpoints of a run, which also checks its last step
+# steps between the checkpoints of a run (README, Numerical notes)
 _CHECK_EVERY = 100
 # a checkpoint leaves out a level whose entries are all at most this in
 # modulus; zeroing them moves no eigenvalue by more than sqrt(2) dim times it
@@ -210,8 +193,7 @@ class Trajectory:
     regime in which the feedback correction stays a small perturbation.
     Minimum eigenvalues are sampled at checkpoint times only.
     ``final_state`` is the density matrix at the last time (None for the
-    population ladder), built from the stepped diagonals on first read, so
-    a run that never reads it builds no dense copy of its last state.
+    population ladder), built from the stepped diagonals on first read.
     """
 
     times: np.ndarray
@@ -396,15 +378,17 @@ class _Band:
                   + g_down c_i x_{i+1} + g_up c_{i-1} x_{i-1},
 
     with a_i = i + k/2, b_i = (m_{i+k} + m_i)/2 for m the diagonal of the
-    truncated a a+ (zero at the top level) and c_i = sqrt((i+k+1)(i+1)).
+    truncated a a+ (zero at the top level) and c_i = sqrt((i+k+1)(i+1)):
+    at k = 0 the birth-death chain of populations, level i decaying at
+    i g_down and rising at (i + 1) g_up, not at all from the top level.
     ``taps`` holds the planes of D (a = 0) and U (a = 1) that are not
     always zero, shape (2, 2, rows, dim), taps[a, b] multiplying
     x[j, i + b - a]; they vanish on the padding and at both row ends, so
     the padding stays zero.  ``top`` holds row 0's planes on its top 8
     levels, zero below level 0: no path of at most 4 steps from the top 4
-    rows leaves them.  Row 0 is always k = 0, the population ladder; when
-    it is the only row the state is real and diagonal.  ``g`` is the gcd
-    of the offsets.
+    rows leaves them.  Row 0 is always k = 0, the population ladder
+    (:mod:`qcooling.ladder`); when it is the only row the state is real
+    and diagonal.  ``g`` is the gcd of the offsets.
     """
 
     def __init__(self, dim: int, offsets):
@@ -536,18 +520,10 @@ def _shifted(x0: np.ndarray, width: int):
 
 
 def lindblad_rhs(rho: np.ndarray, t: float, model: RateModel) -> np.ndarray:
-    """Right-hand side of the master equation at time t (rotating frame),
-    with FEEDBACK's n_sys read off ``rho``: complex for any ``rho``, and
-    traceless, as the truncated generator conserves probability exactly.
-    It is the dissipator's matrix elements, at O(dim^2) cost,
-
-        out[i, j] = -(g_down (i + j) + g_up (m_i + m_j))/2 rho[i, j]
-                    + g_down sqrt((i + 1)(j + 1)) rho[i + 1, j + 1]
-                    + g_up sqrt(i j) rho[i - 1, j - 1],
-
-    for m the diagonal of the truncated a a+ (i + 1, zero at the top
-    level), without the terms that reach outside the basis.
-    """
+    """Right-hand side of the master equation (module docstring) at time t,
+    dense, at O(dim^2) cost, with FEEDBACK's n_sys read off ``rho``:
+    complex for any ``rho``, and traceless, as the truncated generator
+    conserves probability exactly."""
     _nonnegative("t", t)
     g_down, g_up = model.rates(t, mean_occupation(rho))
     n = np.arange(float(len(rho)))
@@ -602,12 +578,13 @@ def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
 
     g2, down, up = model._feedback()
     n_res = model.n_res
+    read, rate, combine = moments.dot, stage_rates.dot, weights.dot
 
     def advance(n0, n1):
-        dot, add, multiply, taps = np.dot, np.add, np.multiply, band.taps
+        add, multiply, taps = np.add, np.multiply, band.taps
         for n in range(n0 + 1, n1 + 1):
             t = (n - 1) * dt
-            n_bar, trace = dot(moments, state_row).tolist()
+            n_bar, trace = read(state_row).tolist()
             n_s = n_bar
             for c, w, x_views, row, prev, k in stages:
                 if c:
@@ -617,9 +594,9 @@ def _staged_step(band: _Band, x0: np.ndarray, model: RateModel, dt: float):
                 stage_rates[0] = stage_rates[1] = w * g_down
                 stage_rates[2] = stage_rates[3] = w * g_up
                 multiply(taps, x_views, out=prod)
-                dot(stage_rates, prod_flat, out=k)
+                rate(prod_flat, k)
                 n_s = n_bar + w * (g_up * (n_s + trace - dim * row.item(-1)) - g_down * n_s)
-            dot(weights, slopes_flat, out=stage_flat)
+            combine(slopes_flat, stage_flat)
             add(x, y, out=x)
         return x
 
@@ -977,17 +954,11 @@ def _evolve(band: _Band, x0: np.ndarray, model: RateModel, cfg: IntegratorConfig
 
 
 def integrate(rho0: np.ndarray, model: RateModel, cfg: IntegratorConfig) -> Trajectory:
-    """Fixed-step RK4 integration of the master equation.
-
-    Only the diagonals that are non-zero in rho0 are stepped, so a
-    diagonal rho0 costs O(dim) per step.  Every 100 steps, at the last
-    step and at any sample whose purity is not finite, the trace and the
-    minimum eigenvalue are checked against the tolerance budget; a
-    violation, or a state blown up beyond any state inside the budget,
-    raises :class:`IntegrationError` with the offending time and
-    diagnostics.
-    Observables are recorded every ``cfg.record_every`` steps.
-    """
+    """Fixed-step RK4 integration of the master equation from rho0, which
+    :func:`check_density_matrix` must accept.  Raises
+    :class:`IntegrationError`, with the time and diagnostics, where a
+    checkpoint (README, Numerical notes) finds the state blown up or
+    outside the tolerance budget."""
     offsets, min_eig = check_density_matrix(rho0)
     band = _band(rho0.shape[0], tuple(offsets.tolist()))
     traj, x = _evolve(band, band.pack(rho0), model, cfg, min_eig)

@@ -272,25 +272,36 @@ _GRID = ModeGrid.flat_band(OMEGA0, HALF_WIDTH, n_modes=101)
 _PAIR = np.array([1.0, 2.0])
 
 
-@pytest.mark.parametrize("call", [
-    lambda: ModeGrid(np.array([1.0, math.inf]), np.ones(2), np.ones(2)),
-    lambda: ModeGrid(_PAIR, np.array([1.0, math.nan]), np.ones(2)),
-    lambda: ModeGrid(_PAIR, np.ones(2), np.array([math.inf, 1.0])),
-    lambda: evolved_spectral_density(_GRID, OMEGA0, math.nan, T_RES, T_VALUES),
-    lambda: evolved_spectral_density(_GRID, OMEGA0, math.inf, T_RES, T_VALUES),
-    lambda: evolved_spectral_density(_GRID, OMEGA0, -1.0, T_RES, T_VALUES),
-    lambda: evolved_spectral_density(_GRID, OMEGA0, N_RES, T_RES, [0.5, 1.0, math.inf]),
-    lambda: thermal_two_point(R, L, -2.0),
-    lambda: thermal_two_point(R, R, math.nan),
-    lambda: wick_four_point((R, L, R, L), -2.0),
-    lambda: wick_four_point((L, L, L, L), math.inf),
-], ids=["grid-frequency-inf", "grid-strength-nan", "grid-weight-inf", "n_sys-nan",
-        "n_sys-inf", "n_sys-negative", "t-inf", "two-point-negative", "two-point-nan",
+@pytest.mark.parametrize("call, name", [
+    (lambda: ModeGrid(np.array([1.0, math.inf]), np.ones(2), np.ones(2)), "frequencies"),
+    (lambda: ModeGrid(_PAIR, np.array([1.0, math.nan]), np.ones(2)), "strength"),
+    (lambda: ModeGrid(_PAIR, np.ones(2), np.array([math.inf, 1.0])), "weights"),
+    (lambda: ModeGrid.flat_band(50.0, 20.0, 801.5), "n_modes"),
+    (lambda: ModeGrid.flat_band(50.0, 20.0, "801"), "n_modes"),
+    (lambda: ModeGrid.flat_band(50.0, math.nan), "half_width"),
+    (lambda: ModeGrid.flat_band(50.0, 0.0), "half_width"),
+    (lambda: ModeGrid.flat_band(50.0, -5.0), "half_width"),
+    (lambda: ModeGrid.flat_band(math.nan, 20.0), "omega0"),
+    (lambda: evolved_spectral_density(_GRID, OMEGA0, math.nan, T_RES, T_VALUES), "n_sys"),
+    (lambda: evolved_spectral_density(_GRID, OMEGA0, math.inf, T_RES, T_VALUES), "n_sys"),
+    (lambda: evolved_spectral_density(_GRID, OMEGA0, -1.0, T_RES, T_VALUES), "n_sys"),
+    (lambda: evolved_spectral_density(_GRID, OMEGA0, N_RES, T_RES, [0.5, 1.0, math.inf]),
+     "t_values"),
+    (lambda: thermal_two_point(R, L, -2.0), "n_bar"),
+    (lambda: thermal_two_point(R, R, math.nan), "n_bar"),
+    (lambda: wick_four_point((R, L, R, L), -2.0), "n_bar"),
+    (lambda: wick_four_point((L, L, L, L), math.inf), "n_bar"),
+], ids=["grid-frequency-inf", "grid-strength-nan", "grid-weight-inf", "flat-band-modes-fraction",
+        "flat-band-modes-string", "flat-band-half-width-nan", "flat-band-half-width-zero",
+        "flat-band-half-width-negative", "flat-band-omega0-nan", "n_sys-nan", "n_sys-inf",
+        "n_sys-negative", "t-inf", "two-point-negative", "two-point-nan",
         "four-point-negative", "four-point-inf"])
-def test_non_finite_or_negative_inputs_are_rejected(call):
-    # occupations must be >= 0 and finite, and a grid's fields and the times
-    # finite, as brute_force_four_point already requires of its n_bar
-    with pytest.raises(ValueError):
+def test_non_finite_or_negative_inputs_are_rejected(call, name):
+    # occupations must be >= 0 and finite, a grid's fields and the times
+    # finite, and flat_band's arguments positive (its n_modes an integer), as
+    # brute_force_four_point already requires of its n_bar; the error names
+    # the argument
+    with pytest.raises(ValueError, match=name):
         call()
 
 
