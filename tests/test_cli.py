@@ -87,11 +87,13 @@ def test_simulate_ladder_agrees_with_lindblad(capsys):
     args = ("--n0", "8", "--nr", "2", "--gamma", "1",
             "--dt", "0.005", "--t-end", "1", "--record-every", "20",
             "--model", "constant")
-    _, out_a, _ = run_cli(capsys, "simulate", "--law", "lindblad", *args)
-    _, out_b, _ = run_cli(capsys, "simulate", "--law", "ladder", *args)
-    _, _, rows_a = parse_csv(out_a)
-    _, _, rows_b = parse_csv(out_b)
-    assert np.abs(rows_a[:, 1] - rows_b[:, 1]).max() < 1e-8
+    # a Fock start is diagonal, so both laws step the same populations
+    csvs = []
+    for law in ("lindblad", "ladder"):
+        code, out, _ = run_cli(capsys, "simulate", "--law", law, *args)
+        assert code == 0 and f"\n# law={law}\n" in out
+        csvs.append(out.replace(f"\n# law={law}\n", "\n"))
+    assert csvs[0] == csvs[1]
 
 
 def test_simulate_closed_form_law_honours_record_every(capsys):
@@ -129,20 +131,21 @@ def test_simulate_thermal_start_is_sized_by_its_own_tail(capsys, law):
 
 @pytest.mark.parametrize("n0", ["8", "8.5"], ids=["fock", "thermal"])
 def test_simulate_ladder_builds_no_dense_start(capsys, n0):
-    # the ladder steps the populations alone, so its start is never a dense
-    # dim x dim state (10 MB complex at dim 800)
+    # both integrator laws step a Fock or thermal start's populations alone,
+    # so neither builds a dense dim x dim state (10 MB complex at dim 800)
     dim = 800
-    argv = ("simulate", "--law", "ladder", "--n0", n0, "--nr", "2", "--gamma", "1",
-            "--dt", "1e-4", "--t-end", "0.01", "--dim", str(dim))
-    run_cli(capsys, *argv)
-    tracemalloc.start()
-    try:
-        code, out, _ = run_cli(capsys, *argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0 and parse_csv(out)[2].shape == (101, 6)
-    assert peak < dim * dim * 16
+    for law in ("ladder", "lindblad"):
+        argv = ("simulate", "--law", law, "--n0", n0, "--nr", "2", "--gamma", "1",
+                "--dt", "1e-4", "--t-end", "0.01", "--dim", str(dim))
+        run_cli(capsys, *argv)
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and parse_csv(out)[2].shape == (101, 6)
+        assert peak < dim * dim * 16, law
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,6 +211,8 @@ def test_simulate_mode_exclusivity(capsys):
     code, _, err = run_cli(capsys, "simulate", "--law", "newton",
                            "--t0", "2000", "--gamma", "1")
     assert code == 2
+    code, out, err = run_cli(capsys, "simulate", "--law", "lindblad", "--n0", "8", "--gamma", "1")
+    assert (code, out) == (2, "") and "--n0 and --nr must be given together" in err
 
 
 @pytest.mark.parametrize("law", ["newton", "markov", "modified"])

@@ -136,6 +136,8 @@ def test_grid_validation():
                  weights=np.ones(2))
     with pytest.raises(ValueError):
         ModeGrid.flat_band(omega0=5.0, half_width=10.0)
+    with pytest.raises(ValueError, match=">= 2 modes"):
+        ModeGrid(frequencies=np.array([50.0]), strength=np.ones(1), weights=np.ones(1))
 
 
 def test_grid_given_lists_stores_float_arrays():
@@ -310,3 +312,25 @@ def test_narrow_band_warns():
     with pytest.warns(UserWarning, match="too narrow"):
         evolved_spectral_density(grid, OMEGA0, N_RES + 5.0, T_RES,
                                  np.linspace(0.5, 3.0, 8))
+
+
+def test_fewer_than_two_times_past_the_transient_fit_all_times():
+    # the transient here is 5/half_width = 2.5, past every time
+    grid = ModeGrid.flat_band(OMEGA0, 2.0, n_modes=101)
+    times = np.linspace(0.5, 2.0, 4)
+    with pytest.warns(UserWarning, match="only 0 points past the transient"):
+        res = evolved_spectral_density(grid, OMEGA0, N_RES + 5.0, T_RES, times)
+    line = np.polyfit(times, res.values.real, 1)
+    assert res.slope == pytest.approx(line[0], rel=1e-12)
+    assert res.fit_residual == pytest.approx(
+        np.sqrt(np.mean((res.values.real - np.polyval(line, times)) ** 2)), rel=1e-9)
+
+
+@pytest.mark.parametrize("omega0, times, match", [
+    (OMEGA0, [1.0], "1-D array of >= 2 times"),
+    (OMEGA0, [[0.5, 1.0]], "1-D array of >= 2 times"),
+    (OMEGA0 - HALF_WIDTH, T_VALUES, "not inside grid span"),
+    (OMEGA0 + 2 * HALF_WIDTH, T_VALUES, "not inside grid span")])
+def test_spectral_density_rejects_one_time_or_omega0_off_the_grid(omega0, times, match):
+    with pytest.raises(ValueError, match=match):
+        evolved_spectral_density(_GRID, omega0, N_RES, T_RES, times)

@@ -104,6 +104,8 @@ def test_matches_matrix_integrator(model, dt, t_end):
     chain = evolve_populations(rho0.diagonal().real, model, cfg)
     assert np.abs(matrix.populations - chain.populations).max() < 1e-8
     assert np.abs(matrix.n_bar - chain.n_bar).max() < 1e-8
+    # the ladder steps no dense state, so it returns none
+    assert chain.final_state is None
 
 
 def test_input_validation():
@@ -113,6 +115,9 @@ def test_input_validation():
     with pytest.raises(ValueError):
         evolve_populations(np.array([1.5, -0.5]), CONSTANT,
                            IntegratorConfig(dt=0.01, t_end=1.0))
+    for p0 in (np.array([[0.5, 0.5]]), np.array([1.0])):
+        with pytest.raises(ValueError, match=r"1-D vector of >= 2 levels, got shape"):
+            evolve_populations(p0, CONSTANT, IntegratorConfig(dt=0.01, t_end=1.0))
 
 
 def test_trajectory_does_not_depend_on_the_layout_of_p0():

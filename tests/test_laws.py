@@ -26,6 +26,12 @@ def test_modified_vs_markov_unit_case():
     assert evaluate_law(LawKind.MARKOV, params, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("x0, x_res", [(math.inf, 200.0), (math.nan, 200.0), (2000.0, -math.inf)])
+def test_params_reject_non_finite_values(x0, x_res):
+    with pytest.raises(ValueError, match="x0 and x_res must be finite"):
+        CoolingParams(x0=x0, x_res=x_res, gamma=1.0)
+
+
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
         evaluate_law(LawKind.NEWTON, FIG_PARAMS, -0.1)

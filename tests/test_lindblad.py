@@ -156,6 +156,12 @@ def test_check_density_matrix_rejects_empty():
         check_density_matrix(np.zeros((0, 0), dtype=complex))
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
+def test_check_density_matrix_rejects_a_non_square_array(shape):
+    with pytest.raises(ValueError, match=re.escape(f"must be square, got shape {shape}")):
+        check_density_matrix(np.zeros(shape, dtype=complex))
+
+
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
     """The shapes of the matrices np.linalg.eigvalsh is called on."""
@@ -544,6 +550,18 @@ def test_unstable_step_size_aborts_with_diagnostics(model, t_max):
         integrate(number_state(8, 64), model, cfg)
     assert 0 < excinfo.value.t <= t_max
     assert str(excinfo.value).startswith("state has blown up (unstable step size?)")
+
+
+@pytest.mark.parametrize("trace", [1.0 - 2e-6, 1.0 + 2e-9])
+def test_a_checkpoint_outside_the_trace_budget_stops_the_run(trace):
+    # integrate and evolve_populations check their start first, so only
+    # stored diagonals handed to the shared core reach this checkpoint
+    x0 = np.zeros((1, 10))
+    x0[0, 3] = trace
+    with pytest.raises(IntegrationError, match="^trace leak exceeds budget at t=0 ") as excinfo:
+        lindblad._evolve(lindblad._band(10, (0,)), x0, CONSTANT,
+                         IntegratorConfig(dt=0.01, t_end=0.1))
+    assert (excinfo.value.t, excinfo.value.trace, excinfo.value.min_eigenvalue) == (0.0, trace, 0.0)
 
 
 def _staged_rk4_on_explicit_ladder(p, model, dt, steps, start=0):

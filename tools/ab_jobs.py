@@ -8,13 +8,14 @@ the lowest and highest B / A of one repeat, the ratio of the two sides'
 summed times in it, which shows how far one pass can stray.  Every
 run must pass its oracle gate.  One process holds both sides, so a noisy
 host moves both alike and no per-process calibration plays a part.  One
-more, untimed run of each job per side keeps the trajectories that its
-calls of ``integrate`` and ``evolve_populations`` return, under each name
-a job reaches them by (``lindblad``, ``ladder``, and the ``cli`` and
-``checks`` imports), and the report counts, per law or job kind, the jobs
-whose populations, purity and final state are bit-identical on A and B,
-with the largest differences.  When A and B are the same tree, a job whose
-trajectories differ in any bit fails the run, as a failed gate does:
+more, untimed run of each job per side keeps the trajectory and the final
+stored diagonals of every run, as the one recorder that each integration
+passes through returns them (``_evolve``, under the ``lindblad`` and
+``ladder`` names by which the integrators call it), and the report counts,
+per law or job kind, the jobs whose populations, purity and final stored
+diagonals are bit-identical on A and B, with the largest differences.
+When A and B are the same tree, a job whose runs differ in any bit fails
+the run, as a failed gate does:
 
     OPENBLAS_NUM_THREADS=1 python tools/ab_jobs.py /path/to/parent/src src \\
         --workload ladder-sweep --seeds 1 2 3
@@ -48,8 +49,8 @@ def load(src: str, tag: str):
 
 
 def captured(jobs, job, scratch, reference):
-    """(passed its gate, the trajectories it recorded) of one untimed run
-    of ``job`` on the side ``jobs``."""
+    """(passed its gate, the (trajectory, final stored diagonals) of each
+    run it recorded) of one untimed run of ``job`` on the side ``jobs``."""
     kept = []
 
     def keeping(call):
@@ -58,9 +59,7 @@ def captured(jobs, job, scratch, reference):
             return kept[-1]
         return wrapper
 
-    names = [(jobs.lindblad, "integrate"), (jobs.ladder, "evolve_populations"),
-             (jobs.cli, "integrate"), (jobs.cli, "evolve_populations"),
-             (jobs.checks, "integrate")]
+    names = [(jobs.lindblad, "_evolve"), (jobs.ladder, "_evolve")]
     calls = [getattr(module, name) for module, name in names]
     for (module, name), call in zip(names, calls):
         setattr(module, name, keeping(call))
@@ -73,9 +72,7 @@ def captured(jobs, job, scratch, reference):
 
 
 def identical(a, b) -> bool:
-    """Whether two arrays (or two Nones) hold the same bits."""
-    if a is None or b is None:
-        return a is b
+    """Whether two arrays hold the same bits."""
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -123,10 +120,10 @@ def main(argv=None) -> int:
                 tally = same[key]
                 tally[0] += 1
                 tally[1] += len(kept["A"]) == len(kept["B"]) and all(
-                    identical(getattr(a, f), getattr(b, f))
-                    for a, b in zip(kept["A"], kept["B"])
-                    for f in ("populations", "purity", "final_state"))
-                for a, b in zip(kept["A"], kept["B"]):
+                    identical(a.populations, b.populations) and identical(a.purity, b.purity)
+                    and identical(xa, xb)
+                    for (a, xa), (b, xb) in zip(kept["A"], kept["B"]))
+                for (a, _), (b, _) in zip(kept["A"], kept["B"]):
                     tally[2] = max(tally[2], float(abs(a.populations - b.populations).max()))
                     tally[3] = max(tally[3], float((abs(a.purity - b.purity) / a.purity).max()))
     print(f"{args.workload}, seeds {args.seeds}, best of {args.repeat}; {failed} failed gates")
@@ -141,7 +138,7 @@ def main(argv=None) -> int:
         print(f"{key:>12} {jobs:>5} {1e3 * a:9.1f} {1e3 * b:9.1f} {b / a:7.3f} "
               f"{min(ratios):7.3f} {max(ratios):7.3f}")
     if same:
-        print("trajectory output, B against A (populations, purity and final state)")
+        print("trajectory output, B against A (populations, purity and final diagonals)")
         print(f"{'law':>12} {'jobs':>5} {'identical':>9} {'max |dp|':>9} {'max rel dpurity':>15}")
         for key, (jobs, equal, dp, dpurity) in sorted(same.items()):
             print(f"{key:>12} {jobs:>5} {equal:>9} {dp:9.2e} {dpurity:15.2e}")
