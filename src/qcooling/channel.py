@@ -11,16 +11,23 @@ Giovannetti & Holevo, NJP 8, 310, 2006), and on populations both are
 binomial kernels (Ivan, Sabapathy & Simon, PRA 84, 042311, 2011):
 
     loss       p(j|n) = C(n, j) tau^j (1 - tau)^(n - j),
-    amplifier  p(m|j) = C(m, j) G^-(j+1) (1 - 1/G)^(m - j),  m >= j,
+    amplifier  p(m|j) = C(m, j) G^-(j+1) (1 - 1/G)^(m - j),  m >= j.
 
-built from log-factorials with numpy only, so that ``qcool verify`` runs
-without scipy.
+Each is summed by a recurrence, numpy only.  The loss maps p0's generating
+function G0(s) to G0(1 - tau + tau s), by Horner's rule over p0.  The
+amplifier's kernel is the loss's at 1/G, transposed and divided by G, so
+out_m = g_m(0) / G by de Casteljau's algorithm, g_(i+1)(k) = (nu/G) g_i(k)
++ (1/G) g_i(k + 1), from g_0 the loss's output.  Every step is a convex
+combination of non-negative numbers, so the relative error grows by about
+one ulp per level, a pure loss leaves exact zeros past p0's degree, and
+eta = 1, nu = 0 returns p0 exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .core import _integer
 from .lindblad import RateLaw, RateModel
 
 
@@ -36,48 +43,33 @@ def parameters(model: RateModel, n0: float, t):
     return eta, nu
 
 
-def _log(x):
-    """log(x) elementwise, -inf where x is 0, with no divide warning."""
-    return np.log(x, out=np.full(x.shape, -np.inf), where=x > 0)
-
-
-def _kernel(big, small: int, log_a, log_b, log_fact):
-    """C(big, small) a^small b^(big - small) for each level of the grid
-    ``big`` (zero where big < small), one row per sample of log_a and
-    log_b (shape (samples, 1)); b^0 is 1 even where b is 0."""
-    excess = big - small
-    log_c = np.where(excess >= 0, log_fact[big] - log_fact[small]
-                     - log_fact[np.abs(excess)], -np.inf)
-    b_part = np.multiply(excess, log_b, out=np.zeros((len(log_b), len(big))),
-                         where=excess > 0)
-    return np.exp(log_c + small * log_a + b_part)
-
-
 def populations(p0, eta, nu, dim: int) -> np.ndarray:
     """Populations of levels 0 .. dim - 1 after the channel Phi(eta, nu)
     acts on the populations p0, one row per sample of the arrays (or
     scalars) eta and nu: the untruncated answer, whose mass from level dim
     up is left out, not reflected, and p0 itself at eta = 1, nu = 0.
-    Raises ValueError unless 0 < eta <= 1 and nu >= 0, outside which the
-    map is not a channel (FEEDBACK heating from n0 = 0 drives nu below 0
-    past t = 2/gamma).  The sum runs over the level j that survives the
-    loss, so the temporaries are (samples, levels), not a kernel per
-    sample."""
+    Raises ValueError unless dim is an integer of at least 1 and
+    0 < eta <= 1 and nu >= 0, outside which the map is not a channel
+    (FEEDBACK heating from n0 = 0 drives nu below 0 past t = 2/gamma)."""
+    dim = _integer("dim", dim, 1)
     eta, nu = np.atleast_1d(eta).astype(float), np.atleast_1d(nu).astype(float)
     if not np.all((eta > 0.0) & (eta <= 1.0) & (nu >= 0.0) & (nu < np.inf)):
         raise ValueError("Phi(eta, nu) is not a channel unless 0 < eta <= 1 and "
                          f"0 <= nu < inf; got eta in [{eta.min():g}, {eta.max():g}], "
                          f"nu in [{nu.min():g}, {nu.max():g}]")
     p0 = np.trim_zeros(np.asarray(p0, dtype=float), "b")
-    levels = np.arange(max(dim, p0.size))
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(levels[1:]))))
-    # tau = eta / G, 1 - tau = (1 - eta + nu) / G and 1 - 1/G = nu / G
-    log_g = np.log1p(nu)[:, None]
-    log_tau, log_lost = np.log(eta)[:, None] - log_g, _log(1.0 - eta + nu)[:, None] - log_g
-    log_noise = _log(nu)[:, None] - log_g
-    n, m = levels[:p0.size], levels[:dim]
-    out = np.zeros((len(eta), dim))
-    for j in range(p0.size):
-        kept = _kernel(n, j, log_tau, log_lost, log_fact) @ p0
-        out += kept[:, None] * _kernel(m, j, -log_g, log_noise, log_fact)
-    return out / (1.0 + nu[:, None])
+    gain = 1.0 + nu
+    # tau = eta / G and 1 - tau = (1 - eta + nu) / G; levels first, the
+    # coefficients from level dim up never reach the output
+    tau, lost = eta / gain, (1.0 - eta + nu) / gain
+    g = np.zeros((dim, eta.size))
+    for i, p in enumerate(p0[::-1]):
+        live = min(i + 1, dim)      # the rows past the degree so far are 0
+        g[1:live] = lost * g[1:live] + tau * g[:live - 1]
+        g[0] = lost * g[0] + p
+    noise, unit = nu / gain, 1.0 / gain
+    out = np.empty((eta.size, dim))
+    for m in range(dim):
+        out[:, m] = g[0]
+        g = noise * g[:-1] + unit * g[1:]
+    return out / gain[:, None]

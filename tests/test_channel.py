@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ FLIPPED_NU = 0.1 * (1 - math.exp(-1)) + 7.9 * math.exp(-1) * math.expm1(-0.5)
 def test_not_a_channel_raises(eta, nu):
     with pytest.raises(ValueError, match="not a channel"):
         channel.populations([0.0, 1.0], [0.5, eta], [0.1, nu], 8)
+
+
+@pytest.mark.parametrize("dim", [2.5, "8", 0])
+def test_dim_must_be_a_positive_integer(dim):
+    with pytest.raises(ValueError, match="dim must be"):
+        channel.populations([0.0, 1.0], 0.5, 0.1, dim)
 
 
 def test_feedback_heating_is_not_a_channel():
@@ -89,3 +96,66 @@ def test_closed_form_matches_both_integrators(law, start, n_res, gamma, steps, e
     matrix = integrate(rho0, model, cfg)
     assert np.abs(ladder.populations - exact).max() < 1e-8
     assert np.abs(matrix.populations - exact).max() < 1e-8
+
+
+def exact_populations(p0, eta, nu, dim):
+    """The channel's populations in exact rational arithmetic, from the
+    binomial kernels of its loss and its amplifier (the ``channel`` module
+    docstring's), with p0, eta and nu read as the rationals their floats
+    are."""
+    gain = 1 + Fraction(nu)
+    tau = Fraction(eta) / gain
+    kept = [sum(math.comb(n, j) * tau**j * (1 - tau)**(n - j) * Fraction(p)
+                for n, p in enumerate(p0) if n >= j) for j in range(dim)]
+    return [sum(math.comb(m, j) * kept[j] / gain**(j + 1) * (1 - 1 / gain)**(m - j)
+                for j in range(m + 1)) for m in range(dim)]
+
+
+# (dim, levels of p0, eta, nu): pure loss, a weak and a strong amplifier,
+# a map near the identity, where 1 - tau must not be taken as a difference,
+# and p0 both shorter and longer than dim
+@pytest.mark.parametrize("dim, size, eta, nu", [
+    (12, 5, 0.37, 0.0), (20, 26, 0.81, 0.0), (16, 9, 0.05, 0.01), (24, 30, 0.52, 0.05),
+    (14, 18, 1 - 1e-6, 1e-7), (18, 12, 1.0, 0.7), (22, 28, 0.23, 2.5), (20, 20, 0.66, 5.0)])
+def test_matches_exact_rational_arithmetic(dim, size, eta, nu):
+    p0 = np.random.default_rng(dim * size).random(size)
+    p0[1::3] = 0.0          # levels that only the loss from above fills
+    p0 /= p0.sum()
+    exact = exact_populations(p0, eta, nu, dim)
+    out = channel.populations(p0, eta, nu, dim)[0]
+    for got, want in zip(out, exact):
+        if want == 0:       # pure loss past the degree of p0
+            assert got == 0.0
+        else:
+            assert abs(Fraction(got) - want) < 1e-14 * want
+
+
+def test_composition_law():
+    # Phi(eta2, nu2) after Phi(eta1, nu1) is Phi(eta1 eta2, eta2 nu1 + nu2);
+    # from below level 40 with nu1 <= 2 the mass that the first map leaves
+    # past dim 400 is below 1e-28 (a negative binomial tail)
+    rng = np.random.default_rng(7)
+    dim, worst = 400, 0.0
+    for _ in range(20):
+        p0 = rng.random(int(rng.integers(1, 40)))
+        p0 /= p0.sum()
+        eta1, nu1 = rng.uniform(0.05, 1.0), rng.uniform(0.0, 2.0)
+        eta2, nu2 = rng.uniform(0.05, 1.0, 10), rng.uniform(0.0, 5.0, 10)
+        first = channel.populations(p0, eta1, nu1, dim)[0]
+        twice = channel.populations(first, eta2, nu2, dim)
+        once = channel.populations(p0, eta1 * eta2, eta2 * nu1 + nu2, dim)
+        worst = max(worst, np.abs(twice - once).max())
+    assert worst < 8e-15
+
+
+def test_thermal_in_thermal_out_at_dim_800():
+    # p0 runs past dim, to where its tail is below 1e-18, so the result
+    # is the untruncated thermal state of mean eta n0 + nu cut at dim
+    n0, dim = 100.0, 800
+    p0 = (n0 / (1 + n0)) ** np.arange(4200) / (1 + n0)
+    for law in RateLaw:
+        eta, nu = channel.parameters(RateModel(law, 1.0, 2.0), n0, np.array([0.05, 0.4, 0.9]))
+        mean = (eta * n0 + nu)[:, None]
+        thermal = (mean / (1 + mean)) ** np.arange(dim) / (1 + mean)
+        out = channel.populations(p0, eta, nu, dim)
+        assert np.abs(out / thermal - 1).max() < 2e-12

@@ -128,3 +128,14 @@ def test_trajectory_does_not_depend_on_the_layout_of_p0():
     strided, contiguous = (evolve_populations(p, SCALED, cfg) for p in (p0, p0.copy()))
     for name in ("populations", "purity", "trace"):
         assert np.array_equal(getattr(strided, name), getattr(contiguous, name))
+
+
+# a step past the positivity limit that the checkpoints, every 100 steps,
+# do not see: from Fock 47 at the top of dim 48 the smallest recorded
+# population is -2.2e-2 (level 44, t = dt), gone again before step 100
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: no sample is checked against the budget")
+def test_every_sample_keeps_the_positivity_budget():
+    p0 = number_state(47, 48).diagonal().real
+    traj = evolve_populations(p0, CONSTANT, IntegratorConfig(dt=0.006, t_end=3.0))
+    assert traj.populations.min() >= -1e-8
